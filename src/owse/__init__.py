@@ -32,7 +32,6 @@ from .errors import (
     InvalidRecord,
     NotFound,
     NotRdf,
-    OrdinalOutOfRange,
     OwseError,
     Unparseable,
     UnsupportedScheme,
@@ -67,7 +66,7 @@ from .ontology import (
     parse_rdfxml,
     summarize_ontology,
 )
-from .query import Query, ScoredHit, SearchResults, parse_query, score_ontology, search
+from .query import Query, ScoredHit, SearchResults, parse_query, search
 from .storage import OntologyBlob, OntologyRepository, UrlRecord, UrlRepository
 from .transport import FetchResponse, HttpTransport, Transport
 from .urls import normalize_url
@@ -100,7 +99,6 @@ __all__ = [
     "OntologyElement",
     "OntologyRepository",
     "OntologySummary",
-    "OrdinalOutOfRange",
     "OwseError",
     "Posting",
     "Query",
@@ -132,7 +130,6 @@ __all__ = [
     "parse_robots",
     "run_indexer",
     "save_index",
-    "score_ontology",
     "search",
     "summarize_ontology",
     "tokenize",

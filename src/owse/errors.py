@@ -49,10 +49,6 @@ class ConfigError(OwseError):
     """Invalid crawl configuration."""
 
 
-class OrdinalOutOfRange(OwseError):
-    """Document ordinal does not refer to a doc-table entry."""
-
-
 class FetchError(OwseError):
     """Transport-level fetch failure (connection, timeout, redirect loop).
 

@@ -91,7 +91,6 @@ class TripleSet:
 
     triples: list[Triple] = field(default_factory=list)
     base_iri: str = ""
-    namespaces: dict[str, str] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
 
@@ -214,15 +213,11 @@ def parse_rdfxml(data: bytes, base: str) -> TripleSet:
     valid document are skipped with warnings.
     """
     text = data.decode("utf-8", errors="replace")
-    namespaces: dict[str, str] = {}
     root: ET.Element | None = None
     try:
-        for event, payload in ET.iterparse(io.StringIO(text), events=("start-ns", "start")):
-            if event == "start-ns":
-                prefix, uri = payload
-                namespaces.setdefault(prefix, uri)
-            elif root is None:
-                root = payload
+        for _, element in ET.iterparse(io.StringIO(text), events=("start",)):
+            if root is None:
+                root = element
     except ET.ParseError as exc:
         raise XmlNotWellFormed(str(exc)) from exc
     except ValueError as exc:
@@ -243,7 +238,6 @@ def parse_rdfxml(data: bytes, base: str) -> TripleSet:
     return TripleSet(
         triples=parser.triples,
         base_iri=doc_base,
-        namespaces=namespaces,
         warnings=parser.warnings,
     )
 

@@ -12,14 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import OrdinalOutOfRange
 from .indexer import FIELD_WEIGHTS, FieldKind, InvertedIndex, Posting, tokenize
 
 
 @dataclass
 class Query:
     raw: str
-    terms: list[str]
     unique_terms: set[str]
 
 
@@ -40,8 +38,7 @@ class SearchResults:
 
 def parse_query(raw: str) -> Query:
     """Split a raw query with the indexing tokenizer."""
-    terms = tokenize(raw)
-    return Query(raw=raw, terms=terms, unique_terms=set(terms))
+    return Query(raw=raw, unique_terms=set(tokenize(raw)))
 
 
 def _idf(index: InvertedIndex, term: str) -> float:
@@ -50,26 +47,6 @@ def _idf(index: InvertedIndex, term: str) -> float:
 
 def _field_part(postings: list[Posting]) -> float:
     return sum(FIELD_WEIGHTS[p.field] * math.log2(1 + p.tf) for p in postings)
-
-
-def score_ontology(
-    unique_terms: set[str], index: InvertedIndex, doc: int
-) -> tuple[float, list[tuple[str, FieldKind, int]]]:
-    """Score one document and list the (term, field, tf) matches."""
-    if not 0 <= doc < index.doc_count:
-        raise OrdinalOutOfRange(f"doc {doc} not in [0, {index.doc_count})")
-    score = 0.0
-    matched: list[tuple[str, FieldKind, int]] = []
-    for term in sorted(unique_terms):
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        here = [p for p in plist if p.doc == doc]
-        if not here:
-            continue
-        score += _idf(index, term) * _field_part(here)
-        matched.extend((term, p.field, p.tf) for p in here)
-    return score, matched
 
 
 def search(raw: str, index: InvertedIndex, top_k: int = 10) -> SearchResults:

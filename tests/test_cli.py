@@ -1,10 +1,10 @@
 import json
 
 import pytest
-import requests
 
 from owse import cli
 from owse.indexer import INDEX_NAME
+from owse.transport import HttpTransport
 
 
 def run_cli(*argv):
@@ -72,23 +72,24 @@ class TestQueryAndStats:
 
 class TestFixtureServer:
     def test_content_types_and_404(self, fixture_site):
-        page = requests.get(f"{fixture_site}/index.html", timeout=5)
-        assert page.status_code == 200
-        assert page.headers["Content-Type"] == "text/html"
+        get = HttpTransport().get
+        page = get(f"{fixture_site}/index.html")
+        assert page.status == 200
+        assert page.content_type == "text/html"
 
-        ontology = requests.get(f"{fixture_site}/onts/library.rdf", timeout=5)
-        assert ontology.status_code == 200
-        assert ontology.headers["Content-Type"] == "application/rdf+xml"
+        ontology = get(f"{fixture_site}/onts/library.rdf")
+        assert ontology.status == 200
+        assert ontology.content_type == "application/rdf+xml"
 
-        owl = requests.get(f"{fixture_site}/onts/pizza.owl", timeout=5)
-        assert owl.headers["Content-Type"] == "application/rdf+xml"
+        owl = get(f"{fixture_site}/onts/pizza.owl")
+        assert owl.content_type == "application/rdf+xml"
 
-        missing = requests.get(f"{fixture_site}/missing", timeout=5)
-        assert missing.status_code == 404
+        missing = get(f"{fixture_site}/missing")
+        assert missing.status == 404
 
-        robots = requests.get(f"{fixture_site}/robots.txt", timeout=5)
-        assert robots.status_code == 200
-        assert "Disallow: /private/" in robots.text
+        robots = get(f"{fixture_site}/robots.txt")
+        assert robots.status == 200
+        assert "Disallow: /private/" in robots.body.decode()
 
     def test_fixture_command_rejects_missing_root(self, tmp_path, capsys):
         code = run_cli("fixture", "--port", "1", "--root", str(tmp_path / "nope"))

@@ -123,10 +123,6 @@ class TestParse:
         )
         assert len(tset.triples) == 1
 
-    def test_namespace_declarations_captured(self):
-        tset = parse_rdfxml(doc('<owl:Class rdf:about="#A"/>'), base="http://x/o")
-        assert tset.namespaces["owl"] == "http://www.w3.org/2002/07/owl#"
-
     def test_arbitrary_bytes_never_escape_defined_errors(self):
         rng = random.Random(20260810)
         for _ in range(100):

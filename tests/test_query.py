@@ -1,8 +1,7 @@
 import pytest
 
-from owse.errors import OrdinalOutOfRange
 from owse.indexer import FieldKind, build_index
-from owse.query import parse_query, score_ontology, search
+from owse.query import parse_query, search
 
 from support import make_summary
 
@@ -18,52 +17,50 @@ def three_doc_corpus():
     ]
 
 
+def scores(raw, index):
+    """URL -> score of every document search() ranks for ``raw``."""
+    return {hit.url: hit.score for hit in search(raw, index, top_k=index.doc_count).hits}
+
+
 class TestParseQuery:
     def test_plain_keywords(self):
-        assert parse_query("pizza topping").terms == ["pizza", "topping"]
+        assert parse_query("pizza topping pizza").unique_terms == {"pizza", "topping"}
 
     def test_shared_tokenizer_splits_camel_case(self):
-        assert parse_query("hasAuthor").terms == ["has", "author"]
+        assert parse_query("hasAuthor").unique_terms == {"has", "author"}
 
     def test_separators_only(self):
-        query = parse_query("  !! ")
-        assert query.terms == []
-        assert query.unique_terms == set()
+        assert parse_query("  !! ").unique_terms == set()
 
 
 class TestScoreOntology:
+    """Per-document scores, as search() reports them."""
+
     def test_worked_value_single_class_n3(self):
         # df("author") = 1, N = 3, ClassName tf 1:
         # log2(1 + 3/2) * 3.0 * log2(2) = 3.965784284662087
         index = build_index(three_doc_corpus())
-        score, matched = score_ontology({"author"}, index, 0)
-        assert score == pytest.approx(3.965784284662087, abs=1e-9)
-        assert round(score, 4) == 3.9658
-        assert matched == [("author", FieldKind.CLASS_NAME, 1)]
+        (hit,) = search("author", index).hits
+        assert hit.score == pytest.approx(3.965784284662087, abs=1e-9)
+        assert round(hit.score, 4) == 3.9658
+        assert hit.matched == [("author", FieldKind.CLASS_NAME, 1)]
 
     def test_absent_term_scores_zero(self):
         index = build_index(three_doc_corpus())
-        score, matched = score_ontology({"zzzz"}, index, 0)
-        assert score == 0.0
-        assert matched == []
+        assert scores("zzzz", index) == {}
 
     def test_term_in_other_doc_scores_zero(self):
         index = build_index(three_doc_corpus())
-        score, matched = score_ontology({"bird"}, index, 0)
-        assert score == 0.0
-        assert matched == []
+        assert list(scores("bird", index)) == ["http://h2/two"]
 
     def test_additivity_over_disjoint_term_sets(self):
         index = build_index(three_doc_corpus())
-        both, _ = score_ontology({"author", "one"}, index, 0)
-        only_a, _ = score_ontology({"author"}, index, 0)
-        only_b, _ = score_ontology({"one"}, index, 0)
-        assert both == pytest.approx(only_a + only_b, rel=1e-12)
-
-    def test_ordinal_out_of_range(self):
-        index = build_index(three_doc_corpus())
-        with pytest.raises(OrdinalOutOfRange):
-            score_ontology({"author"}, index, 3)
+        both = scores("author one bird", index)
+        only_a = scores("author", index)
+        only_b = scores("one bird", index)
+        assert set(both) == set(only_a) | set(only_b)
+        for url, score in both.items():
+            assert score == pytest.approx(only_a.get(url, 0.0) + only_b.get(url, 0.0), rel=1e-12)
 
     def test_extra_matching_posting_never_decreases_score(self):
         plain = make_summary("http://h1/one", class_names=["Author"])
@@ -72,8 +69,8 @@ class TestScoreOntology:
             make_summary("http://h2/two", class_names=["Bird"]),
             make_summary("http://h3/three", class_names=["Cactus"]),
         ]
-        before, _ = score_ontology({"author"}, build_index([plain] + others), 0)
-        after, _ = score_ontology({"author"}, build_index([labeled] + others), 0)
+        before = scores("author", build_index([plain] + others))["http://h1/one"]
+        after = scores("author", build_index([labeled] + others))["http://h1/one"]
         assert after > before
 
 

@@ -13,6 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from owse import transport
 from owse.errors import FetchError
 from owse.transport import BODY_CAP, MAX_REDIRECTS, USER_AGENT, HttpTransport
 
@@ -192,10 +193,9 @@ class TestBody:
 
 
 class TestFailures:
-    def test_slow_answer_times_out(self, server):
-        with pytest.raises(FetchError) as excinfo:
-            HttpTransport(timeout=0.3).get(f"{server.url}/slow")
-        assert excinfo.value.kind == "timeout"
+    def test_slow_answer_times_out(self, server, monkeypatch):
+        monkeypatch.setattr(transport, "TIMEOUT", 0.3)
+        assert fetch_error(f"{server.url}/slow").kind == "timeout"
 
     def test_closed_port(self):
         assert fetch_error(f"http://127.0.0.1:{free_port()}/").kind == "connection"
