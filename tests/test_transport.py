@@ -1,8 +1,8 @@
-"""Contract of HttpTransport against a local http.server.
+"""Contract of HttpTransport, mostly against a local http.server.
 
-Every case runs over a real socket: redirects and their limit, the body
-cap, non-2xx answers, the FetchError kinds, refused schemes, request
-headers and the percent-encoding of the request target.
+Covers redirects and their limit, the body cap, non-2xx answers, the
+FetchError kinds, refused schemes, request headers and the
+percent-encoding of the request target.
 """
 
 import contextlib
@@ -91,7 +91,6 @@ class Handler(BaseHTTPRequestHandler):
 
 class Server:
     def __init__(self, httpd):
-        self.httpd = httpd
         host, port = httpd.server_address[:2]
         self.url = f"http://{host}:{port}"
 
