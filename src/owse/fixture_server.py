@@ -25,6 +25,9 @@ DEFAULT_CONTENT_TYPE = "application/octet-stream"
 
 class FixtureHandler(SimpleHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body are separate writes: with Nagle on, every response
+    # on a kept-alive connection would wait for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     def guess_type(self, path):
         _, ext = posixpath.splitext(str(path))

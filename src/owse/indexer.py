@@ -8,7 +8,6 @@ document so equal indexes serialize to identical bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -32,22 +31,25 @@ MIN_TOKEN_LEN = 2
 
 
 class FieldKind(Enum):
-    CLASS_NAME = "ClassName"
-    PROPERTY_NAME = "PropertyName"
-    LABEL = "Label"
-    COMMENT = "Comment"
-    ONTOLOGY_IRI = "OntologyIri"
+    """Index field. The value is its name in ``index.json``; ``weight`` is
+    its ranking weight and ``rank`` (declaration order) its place in a
+    posting list."""
 
+    CLASS_NAME = ("ClassName", 3.0)
+    PROPERTY_NAME = ("PropertyName", 2.0)
+    LABEL = ("Label", 2.0)
+    COMMENT = ("Comment", 1.0)
+    ONTOLOGY_IRI = ("OntologyIri", 1.5)
 
-FIELD_WEIGHTS = {
-    FieldKind.CLASS_NAME: 3.0,
-    FieldKind.PROPERTY_NAME: 2.0,
-    FieldKind.LABEL: 2.0,
-    FieldKind.COMMENT: 1.0,
-    FieldKind.ONTOLOGY_IRI: 1.5,
-}
+    weight: float
+    rank: int
 
-_FIELD_ORDER = {kind: i for i, kind in enumerate(FieldKind)}
+    def __new__(cls, name: str, weight: float) -> "FieldKind":
+        kind = object.__new__(cls)
+        kind._value_ = name
+        kind.weight = weight
+        kind.rank = len(cls.__members__)
+        return kind
 
 
 class Posting(NamedTuple):
@@ -126,13 +128,16 @@ def index_ontology(summary: OntologySummary, ordinal: int) -> list[tuple[str, Po
     return [
         (term, Posting(ordinal, kind, tf))
         for (term, kind), tf in sorted(
-            counts.items(), key=lambda item: (item[0][0], _FIELD_ORDER[item[0][1]])
+            counts.items(), key=lambda item: (item[0][0], item[0][1].rank)
         )
     ]
 
 
 def build_index(summaries: list[OntologySummary]) -> InvertedIndex:
-    """Inverted index over ``summaries``; ordinals follow input order."""
+    """Inverted index over ``summaries``; ordinals follow input order.
+
+    Posting lists come out in (doc, field rank) order: ordinals rise and
+    ``index_ontology`` emits each term's postings in field order."""
     index = InvertedIndex()
     for ordinal, summary in enumerate(summaries):
         index.doc_table.append(
@@ -147,8 +152,6 @@ def build_index(summaries: list[OntologySummary]) -> InvertedIndex:
         )
         for term, posting in index_ontology(summary, ordinal):
             index.postings.setdefault(term, []).append(posting)
-    for plist in index.postings.values():
-        plist.sort(key=lambda p: (p.doc, _FIELD_ORDER[p.field]))
     return index
 
 
@@ -172,7 +175,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         "postings": {
             term: [
                 [p.doc, p.field.value, p.tf]
-                for p in sorted(index.postings[term], key=lambda p: (p.doc, _FIELD_ORDER[p.field]))
+                for p in sorted(index.postings[term], key=lambda p: (p.doc, p.field.rank))
             ]
             for term in sorted(index.postings)
         },
@@ -237,7 +240,7 @@ def load_index(path: str | Path) -> InvertedIndex:
             if posting.tf < 1:
                 raise CorruptIndex(f"{path}: posting for {term!r} has tf {posting.tf}")
             plist.append(posting)
-        keys = [(p.doc, _FIELD_ORDER[p.field]) for p in plist]
+        keys = [(p.doc, p.field.rank) for p in plist]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise CorruptIndex(f"{path}: posting list for {term!r} unsorted or duplicated")
         postings[term] = plist
@@ -270,9 +273,10 @@ def run_indexer(data_dir: str | Path, transport: Transport) -> IndexReport:
     summaries: list[OntologySummary] = []
     for record in url_repo.scan():
         data = None
-        if record.url in url_to_blob:
+        blob_id = url_to_blob.get(record.url)
+        if blob_id is not None:
             try:
-                data = ontology_repo.get(url_to_blob[record.url])
+                data = ontology_repo.get(blob_id)
             except (NotFound, CorruptObject) as exc:
                 log.warning("%s: stored blob unusable (%s); refetching", record.url, exc)
         if data is None:
@@ -286,9 +290,12 @@ def run_indexer(data_dir: str | Path, transport: Transport) -> IndexReport:
                 report.skipped += 1
                 report.warnings.append((record.url, f"http status {response.status}"))
                 continue
+            if response.truncated:
+                report.skipped += 1
+                report.warnings.append((record.url, "oversize"))
+                continue
             data = response.body
-            ontology_repo.put(data, source_url=record.url)
-            url_to_blob = ontology_repo.url_map()
+            blob_id = ontology_repo.put(data, source_url=record.url).id
 
         try:
             triples = parse_rdfxml(data, base=record.url)
@@ -296,7 +303,6 @@ def run_indexer(data_dir: str | Path, transport: Transport) -> IndexReport:
             report.skipped += 1
             report.warnings.append((record.url, f"{type(exc).__name__}: {exc}"))
             continue
-        blob_id = url_to_blob.get(record.url) or hashlib.sha256(data).hexdigest()
         summaries.append(summarize_ontology(triples, record.url, blob_id, len(data)))
         report.indexed += 1
 

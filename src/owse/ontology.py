@@ -20,7 +20,7 @@ import io
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Union
+from typing import NamedTuple
 from urllib.parse import urljoin
 
 from .errors import NotRdf, XmlNotWellFormed
@@ -48,7 +48,6 @@ OWL_ANNOTATION_PROPERTY = OWL_NS + "AnnotationProperty"
 OWL_IMPORTS = OWL_NS + "imports"
 
 _RDF_ROOT_TAG = "{%s}RDF" % RDF_NS
-_RDF_DESCRIPTION_TAG = "{%s}Description" % RDF_NS
 _RDF_ABOUT = "{%s}about" % RDF_NS
 _RDF_ID = "{%s}ID" % RDF_NS
 _RDF_RESOURCE = "{%s}resource" % RDF_NS
@@ -74,9 +73,6 @@ class Literal(str):
     """A literal's lexical form; datatype and language tag are dropped."""
 
     __slots__ = ()
-
-
-Node = Union[Iri, BlankNode, Literal]
 
 
 class Triple(NamedTuple):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .indexer import FIELD_WEIGHTS, FieldKind, InvertedIndex, Posting, tokenize
+from .indexer import FieldKind, InvertedIndex, Posting, tokenize
 
 
 @dataclass
@@ -46,7 +46,7 @@ def _idf(index: InvertedIndex, term: str) -> float:
 
 
 def _field_part(postings: list[Posting]) -> float:
-    return sum(FIELD_WEIGHTS[p.field] * math.log2(1 + p.tf) for p in postings)
+    return sum(p.field.weight * math.log2(1 + p.tf) for p in postings)
 
 
 def search(raw: str, index: InvertedIndex, top_k: int = 10) -> SearchResults:

@@ -139,9 +139,6 @@ class UrlRepository:
     def __len__(self) -> int:
         return len(self._seen)
 
-    def __contains__(self, url: str) -> bool:
-        return self._canonical(url) in self._seen
-
 
 @dataclass(frozen=True)
 class OntologyBlob:

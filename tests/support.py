@@ -137,9 +137,6 @@ def summary_as_dict(summary: OntologySummary) -> dict:
     }
 
 
-_FIELD_ORDER = {kind: i for i, kind in enumerate(FieldKind)}
-
-
 @st.composite
 def index_snapshots(draw) -> InvertedIndex:
     """Random structurally-valid inverted indexes for round-trip tests."""
@@ -184,6 +181,6 @@ def index_snapshots(draw) -> InvertedIndex:
                 Posting(doc, kind, draw(st.integers(min_value=1, max_value=9)))
                 for doc, kind in slots
             ]
-            plist.sort(key=lambda p: (p.doc, _FIELD_ORDER[p.field]))
+            plist.sort(key=lambda p: (p.doc, p.field.rank))
             postings[term] = plist
     return InvertedIndex(doc_table=doc_table, postings=postings)

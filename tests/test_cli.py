@@ -1,4 +1,7 @@
+import http.client
 import json
+import statistics
+import time
 
 import pytest
 
@@ -90,6 +93,24 @@ class TestFixtureServer:
         robots = get(f"{fixture_site}/robots.txt")
         assert robots.status == 200
         assert "Disallow: /private/" in robots.body.decode()
+
+    def test_keep_alive_responses_do_not_stall(self, fixture_site):
+        # Headers and body go out in separate writes; with Nagle on, each
+        # response on a reused connection waits for the delayed ACK (~40 ms).
+        host, port = fixture_site.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        elapsed = []
+        try:
+            for _ in range(10):
+                started = time.perf_counter()
+                conn.request("GET", "/robots.txt")
+                response = conn.getresponse()
+                response.read()
+                elapsed.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(elapsed[1:]) < 0.020
 
     def test_fixture_command_rejects_missing_root(self, tmp_path, capsys):
         code = run_cli("fixture", "--port", "1", "--root", str(tmp_path / "nope"))

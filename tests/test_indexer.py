@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 from hypothesis import given, settings
@@ -140,6 +141,33 @@ class TestBuildIndex:
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
 
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(["Pizza", "pizzaTopping", "hasBase", "x1", "Base"]), max_size=4),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_build_emits_doc_then_field_order(self, names):
+        # Checked on build_index itself: save_index sorts again on write,
+        # so the byte-identity tests cannot see disorder here.
+        summaries = [
+            make_summary(
+                f"http://h{i}.example/pizza{i}.owl",
+                class_names=words,
+                property_names=words[::-1],
+                labels=words,
+                comments=words[:1],
+                ontology_iri=f"http://pizza.example/{'/'.join(words)}",
+            )
+            for i, words in enumerate(names)
+        ]
+        rank = list(FieldKind).index
+        for term, plist in build_index(summaries).postings.items():
+            keys = [(p.doc, rank(p.field)) for p in plist]
+            assert keys == sorted(set(keys)), term
+
 
 class TestRunIndexer:
     def journal(self, tmp_path, urls):
@@ -183,3 +211,30 @@ class TestRunIndexer:
         report = run_indexer(tmp_path, transport)
         assert report.indexed == 1
         assert transport.requested_urls() == []
+
+    def test_truncated_refetch_skipped_as_oversize(self, tmp_path, webroot):
+        from owse.storage import OntologyRepository
+
+        transport = static_site_from(webroot)
+        real_get = transport.get
+
+        def truncating_get(url):
+            response = real_get(url)
+            response.truncated = True
+            return response
+
+        transport.get = truncating_get
+        url = f"{FIXTURE_HOST}/onts/library.rdf"
+        self.journal(tmp_path, [url])
+        report = run_indexer(tmp_path, transport)
+        assert (report.indexed, report.skipped) == (0, 1)
+        assert report.warnings == [(url, "oversize")]
+        assert OntologyRepository(tmp_path).count() == 0
+
+    def test_refetched_blob_id_is_content_digest(self, tmp_path, webroot):
+        transport = static_site_from(webroot)
+        url = f"{FIXTURE_HOST}/onts/library.rdf"
+        self.journal(tmp_path, [url])
+        run_indexer(tmp_path, transport)
+        digest = hashlib.sha256((webroot / "onts" / "library.rdf").read_bytes()).hexdigest()
+        assert [entry.blob_id for entry in load_index(tmp_path / "index.json").doc_table] == [digest]
