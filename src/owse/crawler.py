@@ -14,6 +14,7 @@ prefixes) is honored before the first fetch on each host.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import threading
 import time
@@ -211,25 +212,46 @@ class _PolitenessGate:
             self._next_allowed[host] = started_at + self.interval
 
 
-@dataclass
 class _Frontier:
-    """FIFO queue of (url, depth, referrer); BFS because every discovered
-    link is one hop deeper than the page it came from."""
+    """Per-host FIFO queues of (seq, url, depth, referrer) plus a heap of
+    (seq, host) queue heads, where seq is the enqueue order (Mercator's
+    frontier, Heydon & Najork 1999). A dispatch takes the earliest-enqueued
+    URL whose host is not busy; with no busy host that is the BFS order,
+    because every discovered link is one hop deeper than its page."""
 
-    items: deque = field(default_factory=deque)
-
-    def pop_dispatchable(self, busy_hosts: set[str]) -> tuple[str, int, str] | None:
-        for i, (url, depth, referrer) in enumerate(self.items):
-            if host_of(url) not in busy_hosts:
-                del self.items[i]
-                return url, depth, referrer
-        return None
+    def __init__(self) -> None:
+        self._queues: dict[str, deque] = {}
+        self._heads: list[tuple[int, str]] = []
+        self._seq = 0
 
     def push(self, url: str, depth: int, referrer: str) -> None:
-        self.items.append((url, depth, referrer))
+        host = host_of(url)
+        queue = self._queues.get(host)
+        if queue is None:
+            queue = self._queues[host] = deque()
+            heapq.heappush(self._heads, (self._seq, host))
+        queue.append((self._seq, url, depth, referrer))
+        self._seq += 1
 
-    def __len__(self) -> int:
-        return len(self.items)
+    def pop_dispatchable(self, busy_hosts: set[str]) -> tuple[str, int, str, str] | None:
+        """(url, depth, referrer, host) of the next URL to fetch, or None."""
+        set_aside = []
+        while self._heads and self._heads[0][1] in busy_hosts:
+            set_aside.append(heapq.heappop(self._heads))
+        entry = None
+        if self._heads:
+            host = self._heads[0][1]
+            queue = self._queues[host]
+            _, url, depth, referrer = queue.popleft()
+            if queue:
+                heapq.heapreplace(self._heads, (queue[0][0], host))
+            else:
+                heapq.heappop(self._heads)
+                del self._queues[host]
+            entry = url, depth, referrer, host
+        for head in set_aside:
+            heapq.heappush(self._heads, head)
+        return entry
 
 
 @dataclass
@@ -256,6 +278,7 @@ class _Crawl:
         self.gate = _PolitenessGate(config.politeness_ms)
         self.frontier = _Frontier()
         self.visited: set[str] = set()
+        self.stored: set[str] = set()  # canonical URLs of stored ontologies
         self.report = CrawlReport()
         self.stop: StopReason | None = None
         self._robots: dict[str, list[str]] = {}
@@ -318,6 +341,7 @@ class _Crawl:
         response = outcome.response
         assert response is not None
         blob = self.ontology_repo.put(response.body, source_url=canonical_url, fetched_at=utc_now())
+        self.stored.add(canonical_url)
         self.url_repo.append(
             UrlRecord(url=canonical_url, referrer=outcome.referrer, depth=outcome.depth)
         )
@@ -366,11 +390,14 @@ class _Crawl:
 
         kind = classify_resource(canonical_url, response.content_type, response.body[:SNIFF_WINDOW])
         if kind is ResourceKind.ONTOLOGY:
-            if response.body:
-                self._handle_ontology(outcome, canonical_url)
-            else:
+            if not response.body:
                 self.report.pages_fetched += 1
                 self.report.errors.append((outcome.url, "empty-document"))
+            elif canonical_url in self.stored:
+                # A redirect alias of a stored ontology: a fetch that stores nothing.
+                self.report.pages_fetched += 1
+            else:
+                self._handle_ontology(outcome, canonical_url)
         else:
             self.report.pages_fetched += 1
             if kind is ResourceKind.HTML and outcome.depth < self.config.max_depth:
@@ -408,9 +435,9 @@ class _Crawl:
                     entry = self.frontier.pop_dispatchable(busy)
                     if entry is None:
                         break
-                    url, depth, referrer = entry
+                    url, depth, referrer, host = entry
                     future = pool.submit(self._fetch_task, url, depth, referrer)
-                    inflight[future] = host_of(url)
+                    inflight[future] = host
                 if not inflight:
                     break
                 done, _ = wait(inflight, return_when=FIRST_COMPLETED)
@@ -433,9 +460,9 @@ def crawl(
 ) -> CrawlReport:
     """Run a breadth-first crawl under ``config``.
 
-    With workers=1 the fetch order is exactly the BFS (depth, enqueue
-    sequence) order and is reproducible against a deterministic
-    transport.
+    Each dispatch takes the earliest-enqueued URL whose host has no
+    request in flight. With workers=1 that is exactly the BFS order, so
+    the fetch order is reproducible against a deterministic transport.
     """
     config.validate()
     return _Crawl(config, transport, url_repo, ontology_repo).run()

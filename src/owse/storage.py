@@ -102,11 +102,16 @@ class UrlRepository:
     def __init__(self, data_dir: str | Path):
         self.path = Path(data_dir) / JOURNAL_NAME
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._seen: set[str] = {self._canonical(r.url) for r in self.scan()}
+        self._seen: set[str] | None = None  # read from the journal on first use
 
     @staticmethod
     def _canonical(url: str) -> str:
         return normalize_url(url, url)
+
+    def _seen_urls(self) -> set[str]:
+        if self._seen is None:
+            self._seen = {self._canonical(r.url) for r in self.scan()}
+        return self._seen
 
     def append(self, record: UrlRecord) -> bool:
         """Journal ``record`` unless its canonical URL is already present.
@@ -118,12 +123,13 @@ class UrlRepository:
             canonical = self._canonical(record.url)
         except OwseError as exc:
             raise InvalidRecord(f"cannot canonicalize {record.url!r}: {exc}") from exc
-        if canonical in self._seen:
+        seen = self._seen_urls()
+        if canonical in seen:
             return False
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(record.to_json() + "\n")
             handle.flush()
-        self._seen.add(canonical)
+        seen.add(canonical)
         return True
 
     def scan(self) -> list[UrlRecord]:
@@ -137,7 +143,7 @@ class UrlRepository:
         return records
 
     def __len__(self) -> int:
-        return len(self._seen)
+        return len(self._seen_urls())
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from owse.crawler import (
     CrawlConfig,
     ResourceKind,
     StopReason,
+    _Frontier,
     classify_resource,
     crawl,
     extract_html_links,
@@ -15,6 +19,7 @@ from owse.crawler import (
 from owse.errors import ConfigError
 from owse.ontology import parse_rdfxml
 from owse.storage import OntologyRepository, UrlRepository
+from owse.urls import host_of
 
 from support import FIXTURE_HOST, StaticTransport, static_site_from
 
@@ -142,6 +147,65 @@ class TestParseRobots:
         assert parse_robots(text) == ["/x/"]
 
 
+class ReferenceFrontier:
+    """One deque scanned front to back: a dispatch takes the
+    earliest-enqueued entry whose host is not busy."""
+
+    def __init__(self):
+        self.items = deque()
+
+    def push(self, url, depth, referrer):
+        self.items.append((url, depth, referrer))
+
+    def pop_dispatchable(self, busy_hosts):
+        for i, (url, depth, referrer) in enumerate(self.items):
+            if host_of(url) not in busy_hosts:
+                del self.items[i]
+                return url, depth, referrer, host_of(url)
+        return None
+
+
+FRONTIER_HOSTS = [f"h{i}.test" for i in range(12)] + ["h0.test:8080"]
+FRONTIER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.sampled_from(FRONTIER_HOSTS), st.integers(0, 4)),
+        st.tuples(st.just("pop"), st.frozensets(st.sampled_from(FRONTIER_HOSTS), max_size=6)),
+    ),
+    max_size=300,
+)
+
+
+class TestFrontier:
+    @settings(max_examples=300, deadline=None)
+    @given(FRONTIER_OPS)
+    def test_every_pop_matches_deque_scan(self, ops):
+        frontier, reference = _Frontier(), ReferenceFrontier()
+        for n, op in enumerate(ops):
+            if op[0] == "push":
+                _, host, depth = op
+                url, referrer = f"http://{host}/p{n}.html", f"http://{host}/"
+                frontier.push(url, depth, referrer)
+                reference.push(url, depth, referrer)
+            else:
+                assert frontier.pop_dispatchable(op[1]) == reference.pop_dispatchable(op[1])
+        while reference.items:
+            assert frontier.pop_dispatchable(set()) == reference.pop_dispatchable(set())
+        assert frontier.pop_dispatchable(set()) is None
+
+
+def reference_bfs(seeds, links, max_depth):
+    """Fetch order of a breadth-first crawl over ``links`` (page -> targets)."""
+    order, seen, queue = [], set(seeds), deque((seed, 0) for seed in seeds)
+    while queue:
+        url, depth = queue.popleft()
+        order.append(url)
+        for target in links.get(url, []) if depth < max_depth else []:
+            if target not in seen:
+                seen.add(target)
+                queue.append((target, depth + 1))
+    return order
+
+
 def run_crawl(transport, tmp_path, **overrides):
     defaults = dict(
         seeds=[f"{FIXTURE_HOST}/index.html"],
@@ -186,6 +250,24 @@ class TestCrawl:
         fetched = [url for url in transport.requested_urls() if not url.endswith("/robots.txt")]
         expected = [FIXTURE_HOST + path for path in expected_crawl["bfs_fetch_order_depth3_no_follow"]]
         assert fetched == expected
+
+    @pytest.mark.parametrize("site_seed", range(4))
+    def test_workers_one_multi_host_fetch_order_is_bfs(self, tmp_path, site_seed):
+        rng = random.Random(site_seed)
+        hosts = [f"http://h{i}.test" for i in range(4)]
+        pages = [f"{rng.choice(hosts)}/p{i}.html" for i in range(24)]
+        ontologies = [f"{rng.choice(hosts)}/o{i}.owl" for i in range(8)]
+        links = {page: rng.sample(pages + ontologies, 4) for page in pages}
+        site = {
+            page: (200, "text/html", "".join(f'<a href="{t}">' for t in targets).encode())
+            for page, targets in links.items()
+        }
+        site.update({o: (200, "application/rdf+xml", RDF_BODY) for o in ontologies})
+        transport = StaticTransport(site)
+        seeds = pages[:2]
+        run_crawl(transport, tmp_path, seeds=seeds, max_depth=3)
+        fetched = [url for url in transport.requested_urls() if not url.endswith("/robots.txt")]
+        assert fetched == reference_bfs(seeds, links, max_depth=3)
 
     def test_no_url_fetched_twice(self, tmp_path, webroot):
         transport = static_site_from(webroot)
@@ -254,6 +336,26 @@ class TestCrawl:
         report, url_repo, _ = run_crawl(transport, tmp_path, seeds=[moved], max_depth=0)
         assert report.ontologies_found == 1
         assert [r.url for r in url_repo.scan()] == [f"{FIXTURE_HOST}/onts/library.rdf"]
+
+    @pytest.mark.parametrize("alias_first", [False, True])
+    def test_redirect_alias_of_stored_ontology_counted_once(self, tmp_path, alias_first):
+        index, target = "http://h.test/index.html", "http://h.test/o.owl"
+        alias = "http://h.test/alias.owl"
+        hrefs = ["alias.owl", "o.owl"] if alias_first else ["o.owl", "alias.owl"]
+        transport = StaticTransport(
+            {
+                index: (200, "text/html", "".join(f'<a href="{h}">' for h in hrefs).encode()),
+                target: (200, "application/rdf+xml", RDF_BODY),
+            }
+        )
+        transport.redirects[alias] = target
+        report, url_repo, ontology_repo = run_crawl(transport, tmp_path, seeds=[index])
+        assert alias in transport.requested_urls() and target in transport.requested_urls()
+        assert report.ontologies_found == 1
+        assert report.pages_fetched == 2  # the index page and the second ontology fetch
+        assert report.errors == []
+        assert [r.url for r in url_repo.scan()] == [target]
+        assert [e["source_url"] for e in ontology_repo.manifest()] == [target]
 
     def test_oversize_body_recorded_as_error(self, tmp_path, webroot):
         transport = static_site_from(webroot)

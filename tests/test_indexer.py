@@ -4,6 +4,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owse import storage
 from owse.indexer import (
     FieldKind,
     build_index,
@@ -16,7 +17,7 @@ from owse.indexer import (
 from owse.ontology import parse_rdfxml, summarize_ontology
 from owse.storage import UrlRecord, UrlRepository
 
-from support import FIXTURE_HOST, make_summary, static_site_from
+from support import FIXTURE_HOST, StaticTransport, make_summary, static_site_from
 
 ONT_NAMES = ["library.rdf", "pizza.owl", "vehicle.rdf", "metadata.rdf"]
 
@@ -238,3 +239,22 @@ class TestRunIndexer:
         run_indexer(tmp_path, transport)
         digest = hashlib.sha256((webroot / "onts" / "library.rdf").read_bytes()).hexdigest()
         assert [entry.blob_id for entry in load_index(tmp_path / "index.json").doc_table] == [digest]
+
+    def test_reads_journal_once_without_normalizing(self, tmp_path, monkeypatch):
+        self.journal(tmp_path, [f"http://h.test/o{i}.owl" for i in range(200)])
+        calls: Counter = Counter()
+        real_scan, real_normalize = UrlRepository.scan, storage.normalize_url
+
+        def counting_scan(repo):
+            calls["scan"] += 1
+            return real_scan(repo)
+
+        def counting_normalize(raw, base):
+            calls["normalize_url"] += 1
+            return real_normalize(raw, base)
+
+        monkeypatch.setattr(UrlRepository, "scan", counting_scan)
+        monkeypatch.setattr(storage, "normalize_url", counting_normalize)
+        report = run_indexer(tmp_path, StaticTransport({}))
+        assert report.skipped == 200
+        assert calls == {"scan": 1}

@@ -46,6 +46,14 @@ class TestUrlRepository:
         assert repo.append(record("http://a:80/x.owl")) is True
         assert repo.append(record("HTTP://A/x.owl")) is False
 
+    def test_reopened_repo_dedups_against_journal(self, tmp_path):
+        UrlRepository(tmp_path).append(record("http://a/x.owl"))
+        repo = UrlRepository(tmp_path)
+        assert repo.append(record("HTTP://a:80/x.owl")) is False
+        assert len(repo) == 1
+        assert repo.append(record("http://a/y.owl")) is True
+        assert len(repo) == 2
+
     def test_relative_url_rejected(self, tmp_path):
         repo = UrlRepository(tmp_path)
         with pytest.raises(InvalidRecord):
