@@ -340,13 +340,18 @@ class _Crawl:
     def _handle_ontology(self, outcome: _Outcome, canonical_url: str) -> None:
         response = outcome.response
         assert response is not None
-        blob = self.ontology_repo.put(response.body, source_url=canonical_url, fetched_at=utc_now())
         self.stored.add(canonical_url)
-        self.url_repo.append(
-            UrlRecord(url=canonical_url, referrer=outcome.referrer, depth=outcome.depth)
-        )
-        self.report.ontologies_found += 1
-        log.info("ontology %s stored as %s", canonical_url, blob.id[:12])
+        # Journal first: a crash before the put leaves a journaled URL
+        # without a blob, which run_indexer refetches.
+        record = UrlRecord(url=canonical_url, referrer=outcome.referrer, depth=outcome.depth)
+        if self.url_repo.append(record):
+            blob = self.ontology_repo.put(response.body, source_url=canonical_url, fetched_at=utc_now())
+            self.report.ontologies_found += 1
+            log.info("ontology %s stored as %s", canonical_url, blob.id[:12])
+        else:
+            # Journaled by an earlier run: a fetch that stores nothing. Its
+            # references are still scanned; that run may have stopped first.
+            self.report.pages_fetched += 1
         if self.config.follow_ontology_links and outcome.depth < self.config.max_depth:
             try:
                 triples = parse_rdfxml(response.body, base=canonical_url)

@@ -16,7 +16,7 @@ that property element with a recorded warning and continue.
 
 from __future__ import annotations
 
-import io
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
@@ -55,6 +55,8 @@ _RDF_PARSETYPE = "{%s}parseType" % RDF_NS
 _RDF_NODEID = "{%s}nodeID" % RDF_NS
 _RDF_LI_TAG = "{%s}li" % RDF_NS
 _XML_BASE = "{%s}base" % XML_NS
+_URL_STRIPPED = frozenset("\t\r\n")  # urlsplit deletes these anywhere in a URL
+_DECLARED_ENCODING = re.compile(rb"<\?xml\s[^>]*?\bencoding\s*=\s*[\"']([A-Za-z][\w.-]*)[\"']")
 
 
 class Iri(str):
@@ -73,6 +75,9 @@ class Literal(str):
     """A literal's lexical form; datatype and language tag are dropped."""
 
     __slots__ = ()
+
+
+_RDF_TYPE_IRI = Iri(RDF_TYPE)
 
 
 class Triple(NamedTuple):
@@ -102,21 +107,43 @@ def local_name(iri: str) -> str:
     return candidate or iri
 
 
-def _tag_iri(tag: str) -> str | None:
+def _tag_iri(tag: str) -> Iri | None:
     """Expanded IRI of a namespaced element tag, None when not namespaced."""
     if tag.startswith("{"):
         ns, _, local = tag[1:].partition("}")
-        return ns + local
+        return Iri(ns + local)
     return None
 
 
 class _Parser:
-    def __init__(self, base: str):
-        self.base = base
+    def __init__(self) -> None:
         self.triples: list[Triple] = []
         self.warnings: list[str] = []
         self._seen: set[tuple] = set()
         self._blank_counter = 0
+        self._tag_iris: dict[str, Iri | None] = {}
+        self._fragment_prefixes: dict[str, str] = {}
+
+    def tag_iri(self, tag: str) -> Iri | None:
+        try:
+            return self._tag_iris[tag]
+        except KeyError:
+            iri = self._tag_iris[tag] = _tag_iri(tag)
+            return iri
+
+    def join(self, base: str, ref: str) -> str:
+        """``urljoin(base, ref)``.
+
+        A fragment-only reference replaces the base's fragment (RFC 3986
+        section 5.2), so it is resolved as a per-base prefix plus the
+        fragment; the prefix itself comes from urljoin.
+        """
+        if len(ref) > 1 and ref[0] == "#" and _URL_STRIPPED.isdisjoint(ref):
+            prefix = self._fragment_prefixes.get(base)
+            if prefix is None:
+                prefix = self._fragment_prefixes[base] = urljoin(base, "#x")[:-1]
+            return prefix + ref[1:]
+        return urljoin(base, ref)
 
     def fresh_blank(self) -> BlankNode:
         node = BlankNode(f"_:b{self._blank_counter}")
@@ -127,7 +154,7 @@ class _Parser:
         self.warnings.append(message)
 
     def emit(self, subject: str, predicate: Iri, obj: str) -> None:
-        key = (type(subject).__name__, subject, predicate, type(obj).__name__, obj)
+        key = (subject.__class__, subject, predicate, obj.__class__, obj)
         if key in self._seen:
             return
         self._seen.add(key)
@@ -135,12 +162,12 @@ class _Parser:
 
     def _element_base(self, element: ET.Element, base: str) -> str:
         declared = element.get(_XML_BASE)
-        return urljoin(base, declared) if declared else base
+        return self.join(base, declared) if declared else base
 
     def node_element(self, element: ET.Element, base: str) -> str | None:
         """Process a node element, returning its subject (or None if skipped)."""
         base = self._element_base(element, base)
-        type_iri = _tag_iri(element.tag)
+        type_iri = self.tag_iri(element.tag)
         if type_iri is None:
             self.warn(f"skipped node element with non-namespaced tag {element.tag!r}")
             return None
@@ -148,7 +175,7 @@ class _Parser:
         about = element.get(_RDF_ABOUT)
         rdf_id = element.get(_RDF_ID)
         if about is not None:
-            subject: str = Iri(urljoin(base, about))
+            subject: str = Iri(self.join(base, about))
         elif rdf_id is not None:
             subject = Iri(base.split("#", 1)[0] + "#" + rdf_id)
         else:
@@ -157,7 +184,7 @@ class _Parser:
             subject = self.fresh_blank()
 
         if type_iri != RDF_NS + "Description":
-            self.emit(subject, Iri(RDF_TYPE), Iri(type_iri))
+            self.emit(subject, _RDF_TYPE_IRI, type_iri)
 
         for child in element:
             self.property_element(subject, child, base)
@@ -165,7 +192,7 @@ class _Parser:
 
     def property_element(self, subject: str, element: ET.Element, base: str) -> None:
         base = self._element_base(element, base)
-        predicate = _tag_iri(element.tag)
+        predicate = self.tag_iri(element.tag)
         if predicate is None:
             self.warn(f"skipped property element with non-namespaced tag {element.tag!r}")
             return
@@ -190,36 +217,44 @@ class _Parser:
             if children or has_text:
                 self.warn(f"skipped property {predicate}: rdf:resource mixed with content")
                 return
-            self.emit(subject, Iri(predicate), Iri(urljoin(base, resource)))
+            self.emit(subject, predicate, Iri(self.join(base, resource)))
         elif len(children) == 1 and not has_text:
             obj = self.node_element(children[0], base)
             if obj is not None:
-                self.emit(subject, Iri(predicate), obj)
+                self.emit(subject, predicate, obj)
         elif not children:
-            self.emit(subject, Iri(predicate), Literal(element.text or ""))
+            self.emit(subject, predicate, Literal(element.text or ""))
         else:
             self.warn(f"skipped property {predicate}: multiple nested node elements")
+
+
+def _xml_root(data: bytes) -> ET.Element:
+    try:
+        return ET.fromstring(data)
+    except ValueError:
+        # expat decodes UTF-8, UTF-16 and single-byte encodings itself and
+        # refuses other multi-byte ones (Shift_JIS, EUC-JP, Big5, ...); for
+        # those the declared codec decodes the document, strictly.
+        declared = _DECLARED_ENCODING.match(data)
+        if declared is None:
+            raise
+        return ET.fromstring(data.decode(declared[1].decode("ascii")))
 
 
 def parse_rdfxml(data: bytes, base: str) -> TripleSet:
     """Parse RDF/XML bytes into a TripleSet.
 
-    Raises XmlNotWellFormed for broken XML and NotRdf when the root
-    element is not rdf:RDF. Unsupported constructs inside an otherwise
-    valid document are skipped with warnings.
+    The document is decoded as its XML declaration or byte order mark
+    says (UTF-8 when neither does). Raises XmlNotWellFormed for broken
+    XML, including bytes that are invalid in that encoding and an unknown
+    declared encoding, and NotRdf when the root element is not rdf:RDF.
+    Unsupported constructs inside an otherwise valid document are skipped
+    with warnings.
     """
-    text = data.decode("utf-8", errors="replace")
-    root: ET.Element | None = None
     try:
-        for _, element in ET.iterparse(io.StringIO(text), events=("start",)):
-            if root is None:
-                root = element
-    except ET.ParseError as exc:
+        root = _xml_root(data)
+    except (ET.ParseError, ValueError, LookupError) as exc:
         raise XmlNotWellFormed(str(exc)) from exc
-    except ValueError as exc:
-        raise XmlNotWellFormed(str(exc)) from exc
-    if root is None:
-        raise XmlNotWellFormed("empty document")
     if root.tag != _RDF_ROOT_TAG:
         found = _tag_iri(root.tag) or root.tag
         raise NotRdf(f"root element is {found}, not rdf:RDF")
@@ -227,7 +262,7 @@ def parse_rdfxml(data: bytes, base: str) -> TripleSet:
     declared_base = root.get(_XML_BASE)
     doc_base = urljoin(base, declared_base) if declared_base else base
 
-    parser = _Parser(doc_base)
+    parser = _Parser()
     for child in root:
         parser.node_element(child, doc_base)
 

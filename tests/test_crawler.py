@@ -357,6 +357,34 @@ class TestCrawl:
         assert [r.url for r in url_repo.scan()] == [target]
         assert [e["source_url"] for e in ontology_repo.manifest()] == [target]
 
+    def test_recrawl_of_same_site_stores_nothing(self, tmp_path, webroot, expected_crawl):
+        run_crawl(static_site_from(webroot), tmp_path)
+        journal, manifest = tmp_path / "urls.jsonl", tmp_path / "ontologies" / "manifest.jsonl"
+        before = journal.read_bytes(), manifest.read_bytes()
+        report, _, _ = run_crawl(static_site_from(webroot), tmp_path)
+        assert report.ontologies_found == 0
+        # every journaled ontology is a fetch that stores nothing
+        assert report.pages_fetched == expected_crawl["html_pages_fetched_by_max_depth"]["3"] + 3
+        assert report.errors == [(f"{FIXTURE_HOST}/private/hidden.html", "robots-disallowed")]
+        assert (journal.read_bytes(), manifest.read_bytes()) == before
+        assert len(manifest.read_bytes().splitlines()) == 3
+
+    @pytest.mark.parametrize("follow", [False, True])
+    def test_recrawl_after_ontology_budget_finds_the_rest(self, tmp_path, webroot, expected_crawl, follow):
+        first, url_repo, _ = run_crawl(
+            static_site_from(webroot), tmp_path, max_ontologies=1, follow_ontology_links=follow
+        )
+        assert first.stop_reason is StopReason.ONTOLOGY_BUDGET
+        assert [r.url for r in url_repo.scan()] == [f"{FIXTURE_HOST}/onts/library.rdf"]
+        # library.rdf imports metadata.rdf; the first run stopped before fetching it
+        report, url_repo, ontology_repo = run_crawl(
+            static_site_from(webroot), tmp_path, follow_ontology_links=follow
+        )
+        paths = expected_crawl["ontology_paths_with_follow" if follow else "ontology_paths_no_follow"]
+        assert report.ontologies_found == len(paths) - 1
+        assert sorted(r.url for r in url_repo.scan()) == sorted(FIXTURE_HOST + p for p in paths)
+        assert sorted(e["source_url"] for e in ontology_repo.manifest()) == sorted(FIXTURE_HOST + p for p in paths)
+
     def test_oversize_body_recorded_as_error(self, tmp_path, webroot):
         transport = static_site_from(webroot)
         real_get = transport.get

@@ -1,17 +1,22 @@
 import random
+from urllib.parse import urljoin
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from owse.errors import NotRdf, XmlNotWellFormed
 from owse.ontology import (
     OWL_CLASS,
     RDF_TYPE,
+    RDFS_LABEL,
     BlankNode,
     ElementKind,
     Iri,
     Literal,
     RelationKind,
     Triple,
+    _Parser,
     local_name,
     parse_rdfxml,
     summarize_ontology,
@@ -26,6 +31,16 @@ RDFXML_HEAD = (
 
 def doc(body: str, attrs: str = "") -> bytes:
     return (RDFXML_HEAD + attrs + ">" + body + "</rdf:RDF>").encode()
+
+
+def declared(encoding: str, body: str) -> bytes:
+    """A document with an XML declaration of ``encoding``, encoded in it."""
+    text = f'<?xml version="1.0" encoding="{encoding}"?>' + RDFXML_HEAD + ">" + body + "</rdf:RDF>"
+    return text.encode(encoding)
+
+
+def labels(tset) -> list[str]:
+    return [str(t.object) for t in tset.triples if t.predicate == RDFS_LABEL]
 
 
 def summarize(triples):
@@ -131,6 +146,120 @@ class TestParse:
                 parse_rdfxml(blob, base="http://x/")
             except (XmlNotWellFormed, NotRdf):
                 pass
+
+    def test_declared_encodings_over_arbitrary_bytes_never_escape_defined_errors(self):
+        rng = random.Random(20261018)
+        encodings = ["utf-8", "utf-16", "iso-8859-1", "cp1252", "shift_jis", "bogus", "utf-32", "euc-jp"]
+        for _ in range(400):
+            head = f'<?xml version="1.0" encoding="{rng.choice(encodings)}"?>'.encode()
+            if rng.random() < 0.5:
+                head += RDFXML_HEAD.encode() + b">"
+            blob = head + bytes(rng.randrange(256) for _ in range(rng.randrange(0, 200)))
+            try:
+                parse_rdfxml(blob, base="http://x/")
+            except (XmlNotWellFormed, NotRdf):
+                pass
+
+
+class TestEncodings:
+    """parse_rdfxml decodes a document as its XML declaration or BOM says."""
+
+    BODY = '<owl:Class rdf:about="#Cafe"><rdfs:label>Café</rdfs:label></owl:Class>'
+
+    def test_iso_8859_1_declaration_honoured(self):
+        data = declared("ISO-8859-1", self.BODY)
+        assert b"Caf\xe9" in data
+        assert labels(parse_rdfxml(data, base="http://x/o")) == ["Café"]
+
+    def test_utf16_with_bom(self):
+        data = declared("UTF-16", self.BODY)
+        assert data[:2] in (b"\xff\xfe", b"\xfe\xff")
+        assert labels(parse_rdfxml(data, base="http://x/o")) == ["Café"]
+
+    def test_multibyte_declaration_decoded_by_its_codec(self):
+        body = '<owl:Class rdf:about="#Kissa"><rdfs:label>喫茶店</rdfs:label></owl:Class>'
+        for encoding in ("Shift_JIS", "EUC-JP"):
+            assert labels(parse_rdfxml(declared(encoding, body), base="http://x/o")) == ["喫茶店"]
+
+    def test_unknown_declared_encoding_is_not_well_formed(self):
+        data = doc('<owl:Class rdf:about="#A"/>')
+        with pytest.raises(XmlNotWellFormed):
+            parse_rdfxml(b'<?xml version="1.0" encoding="bogus"?>' + data, base="http://x/o")
+
+    @pytest.mark.parametrize("encoding", [None, "UTF-8", "Shift_JIS"])
+    def test_invalid_bytes_are_not_well_formed(self, encoding):
+        data = doc('<owl:Class rdf:about="#A"><rdfs:label>Caf?</rdfs:label></owl:Class>')
+        data = data.replace(b"Caf?", b"Caf\xff")
+        if encoding is not None:
+            data = f'<?xml version="1.0" encoding="{encoding}"?>'.encode() + data
+        with pytest.raises(XmlNotWellFormed):
+            parse_rdfxml(data, base="http://x/o")
+
+
+BASES = [
+    "http://x/o",
+    "http://x/o?q=1",
+    "http://x/o?",
+    "http://x/o#old",
+    "http://x/o#",
+    "http://x/o?#",
+    "http://user:pw@x/o",
+    "http://x:80/o/../p",
+    "http://[::1]:8080/o",
+    "https://x",
+    "o",
+    "../a/b",
+    "/root/path",
+    "",
+    "urn:isbn:123",
+    "mailto:someone@x",
+    "file:///tmp/o.owl",
+    "ftp://x/o;type=a",
+]
+REFS = ["#", "#x", "#a#b", "#%", "#%41", "# x", "#\tx", "#x\r", "#\n", "#é", "#日本", "x", "", "/y", "//h/z", "?q", "http://o/#z"]
+SCHEMES = ["http", "https", "ftp", "file", "urn", "mailto", "HTTP", "x-y"]
+URL_CHARS = st.sampled_from(list("ab/.:;@?#[]%=& \t\r\n\x00\x1fé"))
+
+
+@st.composite
+def bases(draw):
+    scheme = draw(st.sampled_from(SCHEMES + [""]))
+    authority = draw(st.sampled_from(["", "//x", "//u:p@x", "//x:80", "//[::1]", "//X.test:8080"]))
+    path = draw(st.text(URL_CHARS, max_size=12))
+    tail = draw(st.sampled_from(["", "?", "?q=1", "#", "#old", "?#", "?a#b"]))
+    return (scheme + ":" if scheme else "") + authority + path + tail
+
+
+REFERENCES = st.one_of(
+    st.sampled_from(REFS),
+    st.text(URL_CHARS, max_size=10).map(lambda s: "#" + s),
+    st.text(max_size=10).map(lambda s: "#" + s),
+    st.text(URL_CHARS, max_size=10),
+)
+
+
+def outcome(resolve, base, ref):
+    try:
+        return resolve(base, ref)
+    except ValueError as exc:  # e.g. an unbalanced IPv6 bracket in the base
+        return ("ValueError", str(exc))
+
+
+class TestJoin:
+    """_Parser.join is urljoin, whatever the base and reference."""
+
+    def test_listed_bases_and_references(self):
+        parser = _Parser()
+        for base in BASES:
+            for ref in REFS:
+                assert parser.join(base, ref) == urljoin(base, ref), (base, ref)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(bases(), st.sampled_from(BASES), st.text(max_size=20)), REFERENCES), max_size=8))
+    def test_join_equals_urljoin(self, pairs):
+        parser = _Parser()  # one parser, so cached prefixes are reused across pairs
+        for base, ref in pairs:
+            assert outcome(parser.join, base, ref) == outcome(urljoin, base, ref), (base, ref)
 
 
 class TestLocalName:
