@@ -383,7 +383,8 @@ class TestCrawl:
         paths = expected_crawl["ontology_paths_with_follow" if follow else "ontology_paths_no_follow"]
         assert report.ontologies_found == len(paths) - 1
         assert sorted(r.url for r in url_repo.scan()) == sorted(FIXTURE_HOST + p for p in paths)
-        assert sorted(e["source_url"] for e in ontology_repo.manifest()) == sorted(FIXTURE_HOST + p for p in paths)
+        stored = sorted(e["source_url"] for e in ontology_repo.manifest())
+        assert stored == sorted(FIXTURE_HOST + p for p in paths)
 
     def test_oversize_body_recorded_as_error(self, tmp_path, webroot):
         transport = static_site_from(webroot)

@@ -216,7 +216,8 @@ BASES = [
     "file:///tmp/o.owl",
     "ftp://x/o;type=a",
 ]
-REFS = ["#", "#x", "#a#b", "#%", "#%41", "# x", "#\tx", "#x\r", "#\n", "#é", "#日本", "x", "", "/y", "//h/z", "?q", "http://o/#z"]
+REFS = ["#", "#x", "#a#b", "#%", "#%41", "# x", "#\tx", "#x\r", "#\n", "#é", "#日本"]
+REFS += ["x", "", "/y", "//h/z", "?q", "http://o/#z"]
 SCHEMES = ["http", "https", "ftp", "file", "urn", "mailto", "HTTP", "x-y"]
 URL_CHARS = st.sampled_from(list("ab/.:;@?#[]%=& \t\r\n\x00\x1fé"))
 
@@ -236,6 +237,7 @@ REFERENCES = st.one_of(
     st.text(max_size=10).map(lambda s: "#" + s),
     st.text(URL_CHARS, max_size=10),
 )
+ANY_BASE = st.one_of(bases(), st.sampled_from(BASES), st.text(max_size=20))
 
 
 def outcome(resolve, base, ref):
@@ -255,7 +257,7 @@ class TestJoin:
                 assert parser.join(base, ref) == urljoin(base, ref), (base, ref)
 
     @settings(max_examples=500, deadline=None)
-    @given(st.lists(st.tuples(st.one_of(bases(), st.sampled_from(BASES), st.text(max_size=20)), REFERENCES), max_size=8))
+    @given(st.lists(st.tuples(ANY_BASE, REFERENCES), max_size=8))
     def test_join_equals_urljoin(self, pairs):
         parser = _Parser()  # one parser, so cached prefixes are reused across pairs
         for base, ref in pairs:
