@@ -278,7 +278,6 @@ class _Crawl:
         self.gate = _PolitenessGate(config.politeness_ms)
         self.frontier = _Frontier()
         self.visited: set[str] = set()
-        self.stored: set[str] = set()  # canonical URLs of stored ontologies
         self.report = CrawlReport()
         self.stop: StopReason | None = None
         self._robots: dict[str, list[str]] = {}
@@ -340,7 +339,6 @@ class _Crawl:
     def _handle_ontology(self, outcome: _Outcome, canonical_url: str) -> None:
         response = outcome.response
         assert response is not None
-        self.stored.add(canonical_url)
         # Journal first: a crash before the put leaves a journaled URL
         # without a blob, which run_indexer refetches.
         record = UrlRecord(url=canonical_url, referrer=outcome.referrer, depth=outcome.depth)
@@ -349,8 +347,10 @@ class _Crawl:
             self.report.ontologies_found += 1
             log.info("ontology %s stored as %s", canonical_url, blob.id[:12])
         else:
-            # Journaled by an earlier run: a fetch that stores nothing. Its
-            # references are still scanned; that run may have stopped first.
+            # Journaled already, earlier in this run (a redirect alias) or by
+            # an earlier run: a fetch that stores nothing. Its references are
+            # still scanned at this depth: the earlier fetch may have been
+            # deeper (workers fetch out of BFS order), or its run stopped.
             self.report.pages_fetched += 1
         if self.config.follow_ontology_links and outcome.depth < self.config.max_depth:
             try:
@@ -398,9 +398,6 @@ class _Crawl:
             if not response.body:
                 self.report.pages_fetched += 1
                 self.report.errors.append((outcome.url, "empty-document"))
-            elif canonical_url in self.stored:
-                # A redirect alias of a stored ontology: a fetch that stores nothing.
-                self.report.pages_fetched += 1
             else:
                 self._handle_ontology(outcome, canonical_url)
         else:

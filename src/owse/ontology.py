@@ -16,7 +16,6 @@ that property element with a recorded warning and continue.
 
 from __future__ import annotations
 
-import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
@@ -56,7 +55,6 @@ _RDF_NODEID = "{%s}nodeID" % RDF_NS
 _RDF_LI_TAG = "{%s}li" % RDF_NS
 _XML_BASE = "{%s}base" % XML_NS
 _URL_STRIPPED = frozenset("\t\r\n")  # urlsplit deletes these anywhere in a URL
-_DECLARED_ENCODING = re.compile(rb"<\?xml\s[^>]*?\bencoding\s*=\s*[\"']([A-Za-z][\w.-]*)[\"']")
 
 
 class Iri(str):
@@ -233,21 +231,21 @@ def _xml_root(data: bytes) -> ET.Element:
         return ET.fromstring(data)
     except ValueError:
         # expat decodes UTF-8, UTF-16 and single-byte encodings itself and
-        # refuses other multi-byte ones (Shift_JIS, EUC-JP, Big5, ...); for
-        # those the declared codec decodes the document, strictly.
-        declared = _DECLARED_ENCODING.match(data)
-        if declared is None:
-            raise
-        return ET.fromstring(data.decode(declared[1].decode("ascii")))
+        # refuses other multi-byte ones (Shift_JIS, EUC-JP, Big5, ...). Such
+        # a document is read as UTF-8 with replacement: the codec it names
+        # never sees its bytes, since some Python codecs are quadratic.
+        return ET.fromstring(data.decode("utf-8", errors="replace"))
 
 
 def parse_rdfxml(data: bytes, base: str) -> TripleSet:
     """Parse RDF/XML bytes into a TripleSet.
 
     The document is decoded as its XML declaration or byte order mark
-    says (UTF-8 when neither does). Raises XmlNotWellFormed for broken
-    XML, including bytes that are invalid in that encoding and an unknown
-    declared encoding, and NotRdf when the root element is not rdf:RDF.
+    says (UTF-8 when neither does); a multi-byte encoding other than
+    UTF-8 or UTF-16 is read as UTF-8 with replacement. Raises
+    XmlNotWellFormed for broken XML, including bytes that are invalid in
+    the encoding and an unknown declared encoding, and NotRdf when the
+    root element is not rdf:RDF.
     Unsupported constructs inside an otherwise valid document are skipped
     with warnings.
     """

@@ -357,6 +357,29 @@ class TestCrawl:
         assert [r.url for r in url_repo.scan()] == [target]
         assert [e["source_url"] for e in ontology_repo.manifest()] == [target]
 
+    def test_redirect_alias_with_ontology_links_followed(self, tmp_path):
+        index, target = "http://h.test/index.html", "http://h.test/o.owl"
+        alias, imported = "http://h.test/alias.owl", "http://h.test/i.owl"
+        importing = (
+            b'<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+            b' xmlns:owl="http://www.w3.org/2002/07/owl#">'
+            b'<owl:Ontology rdf:about=""><owl:imports rdf:resource="i.owl"/></owl:Ontology></rdf:RDF>'
+        )
+        transport = StaticTransport(
+            {
+                index: (200, "text/html", b'<a href="alias.owl"><a href="o.owl">'),
+                target: (200, "application/rdf+xml", importing),
+                imported: (200, "application/rdf+xml", RDF_BODY),
+            }
+        )
+        transport.redirects[alias] = target
+        report, url_repo, _ = run_crawl(transport, tmp_path, seeds=[index], follow_ontology_links=True)
+        robots = "http://h.test/robots.txt"
+        assert sorted(transport.requested_urls()) == sorted([robots, index, alias, target, imported])
+        assert report.ontologies_found == 2
+        assert report.pages_fetched == 2  # the index page and the second fetch of o.owl
+        assert [r.url for r in url_repo.scan()] == [target, imported]
+
     def test_recrawl_of_same_site_stores_nothing(self, tmp_path, webroot, expected_crawl):
         run_crawl(static_site_from(webroot), tmp_path)
         journal, manifest = tmp_path / "urls.jsonl", tmp_path / "ontologies" / "manifest.jsonl"
