@@ -15,25 +15,37 @@ every other name is imported from its submodule (``owse.crawler``,
 ``owse.transport``, ``owse.urls``, ``owse.errors``).
 """
 
-from .crawler import CrawlConfig, crawl
-from .errors import OwseError
-from .indexer import load_index, run_indexer
-from .query import search
-from .storage import OntologyRepository, UrlRepository
-from .transport import FetchResponse, HttpTransport, Transport
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CrawlConfig",
-    "FetchResponse",
-    "HttpTransport",
-    "OntologyRepository",
-    "OwseError",
-    "Transport",
-    "UrlRepository",
-    "crawl",
-    "load_index",
-    "run_indexer",
-    "search",
-]
+# Exported name -> submodule defining it. Imported on first access (PEP
+# 562), so ``owse query`` never loads the crawler, transport or store.
+_EXPORTS = {
+    "CrawlConfig": "crawler",
+    "FetchResponse": "transport",
+    "HttpTransport": "transport",
+    "OntologyRepository": "storage",
+    "OwseError": "errors",
+    "Transport": "transport",
+    "UrlRepository": "storage",
+    "crawl": "crawler",
+    "load_index": "indexer",
+    "run_indexer": "indexer",
+    "search": "query",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,11 +13,12 @@ import os
 import sys
 from pathlib import Path
 
-from . import crawler, indexer, query as query_mod
+from . import indexer, query as query_mod
 from .errors import ConfigError, CorruptIndex, NotFound, OwseError, VersionMismatch
-from .fixture_server import make_server
-from .storage import OntologyRepository, UrlRepository
-from .transport import HttpTransport
+
+# The crawler, transport, store and fixture server are imported inside
+# the commands that use them: ``owse query`` loads only the index and
+# query modules.
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -88,6 +89,10 @@ def _require_data_dir(args: argparse.Namespace, parser: argparse.ArgumentParser)
 
 
 def cmd_crawl(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import crawler
+    from .storage import OntologyRepository, UrlRepository
+    from .transport import HttpTransport
+
     config = crawler.CrawlConfig(
         seeds=args.seed,
         max_pages=args.max_pages,
@@ -116,6 +121,8 @@ def cmd_crawl(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_index(args: argparse.Namespace, data_dir: Path) -> int:
+    from .transport import HttpTransport
+
     report = indexer.run_indexer(data_dir, transport=HttpTransport())
     print(f"indexed: {report.indexed} skipped: {report.skipped}")
     for url, reason in report.warnings:
@@ -141,6 +148,8 @@ def cmd_query(args: argparse.Namespace, data_dir: Path) -> int:
 
 
 def cmd_stats(args: argparse.Namespace, data_dir: Path) -> int:
+    from .storage import OntologyRepository, UrlRepository
+
     url_repo = UrlRepository(data_dir)
     ontology_repo = OntologyRepository(data_dir)
     index_path = data_dir / indexer.INDEX_NAME
@@ -159,6 +168,8 @@ def cmd_stats(args: argparse.Namespace, data_dir: Path) -> int:
 
 
 def cmd_fixture(args: argparse.Namespace) -> int:
+    from .fixture_server import make_server
+
     root = Path(args.root)
     if not root.is_dir():
         print(f"root directory not found: {root}", file=sys.stderr)

@@ -8,6 +8,7 @@ document so equal indexes serialize to identical bytes.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import os
@@ -15,13 +16,14 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CorruptIndex, CorruptObject, FetchError, NotFound, VersionMismatch
 from .errors import NotRdf, XmlNotWellFormed
 from .ontology import OntologySummary, parse_rdfxml, summarize_ontology
-from .storage import OntologyRepository, UrlRepository
-from .transport import Transport
+
+if TYPE_CHECKING:
+    from .transport import Transport
 
 log = logging.getLogger(__name__)
 
@@ -188,10 +190,25 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    """Read an index file, validating version and structural invariants."""
+    """Read an index file, validating version and structural invariants.
+
+    The cyclic collector is off for the whole load: the index is one
+    tuple per posting (157k for 1000 documents), and the collections
+    their allocation sets off find nothing to free. The caller's GC
+    state is put back after."""
     path = Path(path)
     if not path.exists():
         raise NotFound(f"index not found: {path}")
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_index(path)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _read_index(path: Path) -> InvertedIndex:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -203,7 +220,6 @@ def load_index(path: str | Path) -> InvertedIndex:
     if version != INDEX_VERSION:
         raise VersionMismatch(f"{path}: unknown index version {version!r}")
 
-    field_by_name = {kind.value: kind for kind in FieldKind}
     try:
         doc_table = [
             DocEntry(
@@ -218,31 +234,46 @@ def load_index(path: str | Path) -> InvertedIndex:
         ]
         raw_postings = payload["postings"]
         totals = payload["totals"]["docs"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptIndex(f"{path}: malformed structure ({exc})") from exc
 
-    if totals != len(doc_table):
-        raise CorruptIndex(f"{path}: totals.docs={totals} but doc_table has {len(doc_table)}")
+    n_docs = len(doc_table)
+    if totals != n_docs:
+        raise CorruptIndex(f"{path}: totals.docs={totals} but doc_table has {n_docs}")
+    if not isinstance(raw_postings, dict):
+        raise CorruptIndex(f"{path}: postings is not a JSON object")
 
+    # One pass: each row is unpacked, typed and range-checked, and its
+    # (doc, field rank) key must rise strictly from the previous row's.
+    field_by_name = {kind.value: kind for kind in FieldKind}
+    new_posting = tuple.__new__
     postings: dict[str, list[Posting]] = {}
     for term, rows in raw_postings.items():
         if not term or not rows:
             raise CorruptIndex(f"{path}: term {term!r} has an empty key or posting list")
+        if not isinstance(rows, list):
+            raise CorruptIndex(f"{path}: postings of {term!r} are not a list")
         plist = []
+        last_doc = last_rank = -1
         for row in rows:
             try:
                 doc, field_name, tf = row
-                posting = Posting(int(doc), field_by_name[field_name], int(tf))
-            except (KeyError, TypeError, ValueError) as exc:
+                kind = field_by_name[field_name]
+                if doc.__class__ is not int:
+                    doc = int(doc)
+                if tf.__class__ is not int:
+                    tf = int(tf)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise CorruptIndex(f"{path}: bad posting {row!r} for {term!r}") from exc
-            if not 0 <= posting.doc < len(doc_table):
-                raise CorruptIndex(f"{path}: posting for {term!r} refers to doc {posting.doc}")
-            if posting.tf < 1:
-                raise CorruptIndex(f"{path}: posting for {term!r} has tf {posting.tf}")
-            plist.append(posting)
-        keys = [(p.doc, p.field.rank) for p in plist]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
-            raise CorruptIndex(f"{path}: posting list for {term!r} unsorted or duplicated")
+            if not 0 <= doc < n_docs:
+                raise CorruptIndex(f"{path}: posting for {term!r} refers to doc {doc}")
+            if tf < 1:
+                raise CorruptIndex(f"{path}: posting for {term!r} has tf {tf}")
+            rank = kind.rank
+            if doc < last_doc or (doc == last_doc and rank <= last_rank):
+                raise CorruptIndex(f"{path}: posting list for {term!r} unsorted or duplicated")
+            last_doc, last_rank = doc, rank
+            plist.append(new_posting(Posting, (doc, kind, tf)))
         postings[term] = plist
 
     return InvertedIndex(doc_table=doc_table, postings=postings)
@@ -264,6 +295,8 @@ def run_indexer(data_dir: str | Path, transport: Transport) -> IndexReport:
     that cannot be fetched or parsed are skipped with a warning; the run
     itself only fails on store-level I/O errors.
     """
+    from .storage import OntologyRepository, UrlRepository
+
     data_dir = Path(data_dir)
     url_repo = UrlRepository(data_dir)
     ontology_repo = OntologyRepository(data_dir)

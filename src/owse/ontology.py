@@ -11,7 +11,9 @@ rdf:about or rdf:ID, else a fresh blank node; property elements whose
 object comes from rdf:resource, from exactly one nested node element, or
 from literal text content. xml:base is honored. Everything else
 (parseType, containers, collections, reification) makes the parser skip
-that property element with a recorded warning and continue.
+that property element with a recorded warning and continue. An element
+whose rdf:about, rdf:resource or xml:base urljoin cannot resolve (an
+unbalanced IPv6 bracket, say) is skipped with its content and a warning.
 """
 
 from __future__ import annotations
@@ -143,6 +145,15 @@ class _Parser:
             return prefix + ref[1:]
         return urljoin(base, ref)
 
+    def resolve(self, base: str, ref: str) -> str | None:
+        """``join(base, ref)``, or None with a warning when urljoin rejects
+        either of them; the caller then skips the element."""
+        try:
+            return self.join(base, ref)
+        except ValueError as exc:
+            self.warn(f"skipped element with unresolvable IRI {ref!r} against {base!r} ({exc})")
+            return None
+
     def fresh_blank(self) -> BlankNode:
         node = BlankNode(f"_:b{self._blank_counter}")
         self._blank_counter += 1
@@ -158,13 +169,15 @@ class _Parser:
         self._seen.add(key)
         self.triples.append(Triple(subject, predicate, obj))
 
-    def _element_base(self, element: ET.Element, base: str) -> str:
+    def _element_base(self, element: ET.Element, base: str) -> str | None:
         declared = element.get(_XML_BASE)
-        return self.join(base, declared) if declared else base
+        return self.resolve(base, declared) if declared else base
 
     def node_element(self, element: ET.Element, base: str) -> str | None:
         """Process a node element, returning its subject (or None if skipped)."""
         base = self._element_base(element, base)
+        if base is None:
+            return None
         type_iri = self.tag_iri(element.tag)
         if type_iri is None:
             self.warn(f"skipped node element with non-namespaced tag {element.tag!r}")
@@ -173,7 +186,10 @@ class _Parser:
         about = element.get(_RDF_ABOUT)
         rdf_id = element.get(_RDF_ID)
         if about is not None:
-            subject: str = Iri(self.join(base, about))
+            resolved = self.resolve(base, about)
+            if resolved is None:
+                return None
+            subject: str = Iri(resolved)
         elif rdf_id is not None:
             subject = Iri(base.split("#", 1)[0] + "#" + rdf_id)
         else:
@@ -190,6 +206,8 @@ class _Parser:
 
     def property_element(self, subject: str, element: ET.Element, base: str) -> None:
         base = self._element_base(element, base)
+        if base is None:
+            return
         predicate = self.tag_iri(element.tag)
         if predicate is None:
             self.warn(f"skipped property element with non-namespaced tag {element.tag!r}")
@@ -215,7 +233,9 @@ class _Parser:
             if children or has_text:
                 self.warn(f"skipped property {predicate}: rdf:resource mixed with content")
                 return
-            self.emit(subject, predicate, Iri(self.join(base, resource)))
+            resolved = self.resolve(base, resource)
+            if resolved is not None:
+                self.emit(subject, predicate, Iri(resolved))
         elif len(children) == 1 and not has_text:
             obj = self.node_element(children[0], base)
             if obj is not None:
@@ -246,8 +266,8 @@ def parse_rdfxml(data: bytes, base: str) -> TripleSet:
     XmlNotWellFormed for broken XML, including bytes that are invalid in
     the encoding and an unknown declared encoding, and NotRdf when the
     root element is not rdf:RDF.
-    Unsupported constructs inside an otherwise valid document are skipped
-    with warnings.
+    Unsupported constructs inside an otherwise valid document, and
+    elements with an IRI urljoin rejects, are skipped with warnings.
     """
     try:
         root = _xml_root(data)
@@ -257,16 +277,15 @@ def parse_rdfxml(data: bytes, base: str) -> TripleSet:
         found = _tag_iri(root.tag) or root.tag
         raise NotRdf(f"root element is {found}, not rdf:RDF")
 
-    declared_base = root.get(_XML_BASE)
-    doc_base = urljoin(base, declared_base) if declared_base else base
-
     parser = _Parser()
-    for child in root:
-        parser.node_element(child, doc_base)
+    doc_base = parser._element_base(root, base)
+    if doc_base is not None:
+        for child in root:
+            parser.node_element(child, doc_base)
 
     return TripleSet(
         triples=parser.triples,
-        base_iri=doc_base,
+        base_iri=base if doc_base is None else doc_base,
         warnings=parser.warnings,
     )
 

@@ -41,10 +41,6 @@ def parse_query(raw: str) -> Query:
     return Query(raw=raw, unique_terms=set(tokenize(raw)))
 
 
-def _idf(index: InvertedIndex, term: str) -> float:
-    return math.log2(1 + index.doc_count / (1 + index.df(term)))
-
-
 def _field_part(postings: list[Posting]) -> float:
     return sum(p.field.weight * math.log2(1 + p.tf) for p in postings)
 
@@ -59,10 +55,10 @@ def search(raw: str, index: InvertedIndex, top_k: int = 10) -> SearchResults:
         plist = index.postings.get(term)
         if not plist:
             continue
-        idf = _idf(index, term)
         by_doc: dict[int, list[Posting]] = {}
         for posting in plist:
             by_doc.setdefault(posting.doc, []).append(posting)
+        idf = math.log2(1 + index.doc_count / (1 + len(by_doc)))  # df = len(by_doc)
         for doc, here in by_doc.items():
             per_doc[doc] = per_doc.get(doc, 0.0) + idf * _field_part(here)
             per_doc_matches.setdefault(doc, []).extend((term, p.field, p.tf) for p in here)

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from pathlib import Path
 
 from hypothesis import strategies as st
 
-from owse.errors import FetchError
+from owse.errors import CorruptIndex, FetchError, NotFound, VersionMismatch
 from owse.fixture_server import CONTENT_TYPES, DEFAULT_CONTENT_TYPE
-from owse.indexer import DocEntry, FieldKind, InvertedIndex, Posting
+from owse.indexer import INDEX_VERSION, DocEntry, FieldKind, InvertedIndex, Posting
 from owse.ontology import ElementKind, OntologyElement, OntologySummary
 from owse.transport import FetchResponse
 
@@ -183,4 +184,67 @@ def index_snapshots(draw) -> InvertedIndex:
             ]
             plist.sort(key=lambda p: (p.doc, p.field.rank))
             postings[term] = plist
+    return InvertedIndex(doc_table=doc_table, postings=postings)
+
+
+def reference_load_index(path: str | Path) -> InvertedIndex:
+    """The straightforward index loader: checks each posting, then each
+    list's order with a sort. ``owse.indexer.load_index`` does the same
+    checks in one pass and must agree with it."""
+    path = Path(path)
+    if not path.exists():
+        raise NotFound(f"index not found: {path}")
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CorruptIndex(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise CorruptIndex(f"{path}: not a JSON object")
+
+    version = payload.get("version")
+    if version != INDEX_VERSION:
+        raise VersionMismatch(f"{path}: unknown index version {version!r}")
+
+    field_by_name = {kind.value: kind for kind in FieldKind}
+    try:
+        doc_table = [
+            DocEntry(
+                blob_id=row["id"],
+                url=row["url"],
+                size_bytes=int(row["size_bytes"]),
+                class_count=int(row["classes"]),
+                property_count=int(row["properties"]),
+                relation_count=int(row["relations"]),
+            )
+            for row in payload["doc_table"]
+        ]
+        raw_postings = payload["postings"]
+        totals = payload["totals"]["docs"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptIndex(f"{path}: malformed structure ({exc})") from exc
+
+    if totals != len(doc_table):
+        raise CorruptIndex(f"{path}: totals.docs={totals} but doc_table has {len(doc_table)}")
+
+    postings: dict[str, list[Posting]] = {}
+    for term, rows in raw_postings.items():
+        if not term or not rows:
+            raise CorruptIndex(f"{path}: term {term!r} has an empty key or posting list")
+        plist = []
+        for row in rows:
+            try:
+                doc, field_name, tf = row
+                posting = Posting(int(doc), field_by_name[field_name], int(tf))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorruptIndex(f"{path}: bad posting {row!r} for {term!r}") from exc
+            if not 0 <= posting.doc < len(doc_table):
+                raise CorruptIndex(f"{path}: posting for {term!r} refers to doc {posting.doc}")
+            if posting.tf < 1:
+                raise CorruptIndex(f"{path}: posting for {term!r} has tf {posting.tf}")
+            plist.append(posting)
+        keys = [(p.doc, p.field.rank) for p in plist]
+        if keys != sorted(keys) or len(set(keys)) != len(keys):
+            raise CorruptIndex(f"{path}: posting list for {term!r} unsorted or duplicated")
+        postings[term] = plist
+
     return InvertedIndex(doc_table=doc_table, postings=postings)

@@ -194,6 +194,24 @@ class TestRunIndexer:
         assert (report.indexed, report.skipped) == (3, 1)
         assert report.warnings[0][0].endswith("notes.ttl")
 
+    def test_unresolvable_iri_does_not_abort_the_run(self, tmp_path, webroot):
+        transport = static_site_from(webroot)
+        bad = f"{FIXTURE_HOST}/onts/bad.rdf"
+        transport.pages[bad] = (
+            200,
+            "application/rdf+xml",
+            b'<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+            b' xmlns:owl="http://www.w3.org/2002/07/owl#">'
+            b'<owl:Class rdf:about="http://[bad/x"/><owl:Class rdf:about="#Kept"/></rdf:RDF>',
+        )
+        urls = [f"{FIXTURE_HOST}/onts/library.rdf", bad]
+        self.journal(tmp_path, urls)
+        report = run_indexer(tmp_path, transport)
+        assert (report.indexed, report.skipped) == (2, 0)
+        index = load_index(tmp_path / "index.json")
+        assert [entry.url for entry in index.doc_table] == urls
+        assert [p.doc for p in index.postings["kept"]] == [1]
+
     def test_empty_journal_persists_empty_index(self, tmp_path, webroot):
         UrlRepository(tmp_path)  # creates an empty journal directory
         report = run_indexer(tmp_path, static_site_from(webroot))

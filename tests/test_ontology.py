@@ -132,6 +132,52 @@ class TestParse:
         assert tset.warnings
         assert [str(t.object) for t in tset.triples] == ["kept"]
 
+    def test_unresolvable_about_skips_node_with_warning(self):
+        tset = parse_rdfxml(
+            doc(
+                '<owl:Class rdf:about="http://[bad/x"><rdfs:label>lost</rdfs:label></owl:Class>'
+                '<owl:Class rdf:about="#Kept"/>'
+            ),
+            base="http://x/o",
+        )
+        assert tset.triples == [Triple(Iri("http://x/o#Kept"), Iri(RDF_TYPE), Iri(OWL_CLASS))]
+        (warning,) = tset.warnings
+        assert "http://[bad/x" in warning
+
+    def test_unresolvable_resource_skips_property_with_warning(self):
+        tset = parse_rdfxml(
+            doc(
+                '<owl:Class rdf:about="#A">'
+                '<rdfs:subClassOf rdf:resource="http://[bad/x"/><rdfs:label>kept</rdfs:label>'
+                "</owl:Class>"
+            ),
+            base="http://x/o",
+        )
+        assert [str(t.object) for t in tset.triples] == [OWL_CLASS, "kept"]
+        assert len(tset.warnings) == 1
+
+    def test_unresolvable_xml_base_skips_its_element(self):
+        tset = parse_rdfxml(
+            doc(
+                '<owl:Class rdf:about="#A" xml:base="http://[bad/">'
+                "<rdfs:label>lost</rdfs:label></owl:Class>"
+                '<owl:Class rdf:about="#B">'
+                '<rdfs:subClassOf xml:base="http://[bad/" rdf:resource="#A"/>'
+                "<rdfs:label>kept</rdfs:label></owl:Class>"
+            ),
+            base="http://x/o",
+        )
+        assert [str(t.object) for t in tset.triples] == [OWL_CLASS, "kept"]
+        assert len(tset.warnings) == 2
+
+    def test_unresolvable_root_xml_base_yields_no_triples(self):
+        tset = parse_rdfxml(
+            doc('<owl:Class rdf:about="#A"/>', attrs=' xml:base="http://[bad/"'), base="http://x/o"
+        )
+        assert tset.triples == []
+        assert tset.base_iri == "http://x/o"
+        assert len(tset.warnings) == 1
+
     def test_duplicate_triples_are_dropped(self):
         tset = parse_rdfxml(
             doc('<owl:Class rdf:about="#A"/><owl:Class rdf:about="#A"/>'),
@@ -145,6 +191,23 @@ class TestParse:
             blob = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 200)))
             try:
                 parse_rdfxml(blob, base="http://x/")
+            except (XmlNotWellFormed, NotRdf):
+                pass
+        # Generated IRIs in every attribute the parser resolves: urljoin
+        # raises ValueError for some (brackets, a netloc that NFKC-normalizes
+        # to a delimiter), which must stay inside the parser.
+        pieces = ["http:", "https:", "//", "/", "[", "]", "::1", "h", "x", "#", "?", ":", "@", "%", "..",
+                  " ", "\t", "\uff03", "\uff0f", "\u2100", "\uff1a"]
+        for _ in range(400):
+            iri = lambda: "".join(rng.choice(pieces) for _ in range(rng.randrange(0, 7)))  # noqa: E731
+            body = (
+                f'<owl:Class rdf:about="{iri()}" xml:base="{iri()}">'
+                f'<rdfs:subClassOf rdf:resource="{iri()}" xml:base="{iri()}"/>'
+                f'<rdfs:seeAlso><rdf:Description rdf:about="{iri()}"/></rdfs:seeAlso>'
+                "</owl:Class>"
+            )
+            try:
+                parse_rdfxml(doc(body, attrs=f' xml:base="{iri()}"'), base=rng.choice(["http://x/", "http://[x/"]))
             except (XmlNotWellFormed, NotRdf):
                 pass
 

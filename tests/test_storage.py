@@ -1,8 +1,12 @@
+import gc
 import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from owse import indexer
 
 from owse.errors import (
     CorruptIndex,
@@ -22,7 +26,7 @@ from owse.indexer import (
 )
 from owse.storage import OntologyRepository, UrlRecord, UrlRepository
 
-from support import index_snapshots
+from support import index_snapshots, reference_load_index
 
 
 def record(url, depth=1):
@@ -261,3 +265,155 @@ class TestIndexStore:
         path = tmp_path_factory.mktemp("idx") / "index.json"
         save_index(index, path)
         assert load_index(path) == index
+
+
+def _mutate(payload: dict, draw) -> None:
+    """Apply one drawn corruption (or type change) to an index payload with
+    at least one posting."""
+    postings = payload["postings"]
+    term = draw(st.sampled_from(sorted(postings)))
+    rows = postings[term]
+    i = draw(st.integers(0, len(rows) - 1))
+    doc, field_name, tf = rows[i]
+    n_docs = len(payload["doc_table"])
+    mutation = draw(
+        st.sampled_from(
+            [
+                "doc_str", "doc_float", "doc_fraction", "doc_true", "doc_negative", "doc_n",
+                "tf_zero", "tf_str", "field_unknown", "field_list", "row_2", "row_4",
+                "row_not_list", "swap", "duplicate", "empty_term", "empty_list",
+            ]
+        )
+    )
+    replaced = {
+        "doc_str": [str(doc), field_name, tf],
+        "doc_float": [float(doc), field_name, tf],
+        "doc_fraction": [doc + 0.5, field_name, tf],
+        "doc_true": [True, field_name, tf],
+        "doc_negative": [-1, field_name, tf],
+        "doc_n": [n_docs, field_name, tf],
+        "tf_zero": [doc, field_name, 0],
+        "tf_str": [doc, field_name, "x"],
+        "field_unknown": [doc, "NoSuchField", tf],
+        "field_list": [doc, [field_name], tf],
+        "row_2": [doc, field_name],
+        "row_4": [doc, field_name, tf, 1],
+        "row_not_list": draw(st.sampled_from([5, None, "abc", {"doc": doc}])),
+    }
+    if mutation in replaced:
+        rows[i] = replaced[mutation]
+    elif mutation == "swap":
+        j = draw(st.integers(0, len(rows) - 1))
+        rows[i], rows[j] = rows[j], rows[i]
+    elif mutation == "duplicate":
+        rows.insert(i, list(rows[i]))
+    elif mutation == "empty_term":
+        postings[""] = postings.pop(term)
+    else:
+        postings[term] = []
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except CorruptIndex:
+        return CorruptIndex
+
+
+class TestLoadIndex:
+    """load_index checks every posting in one pass; it must accept and
+    refuse exactly what the reference loader in tests/support.py does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(index=index_snapshots())
+    def test_snapshots_load_equal_to_reference(self, index, tmp_path_factory):
+        path = tmp_path_factory.mktemp("idx") / "index.json"
+        save_index(index, path)
+        loaded = load_index(path)
+        assert loaded == reference_load_index(path) == index
+        for plist in loaded.postings.values():
+            assert all(type(p) is Posting and type(p.doc) is int and type(p.tf) is int for p in plist)
+
+    @settings(max_examples=300, deadline=None)
+    @given(index=index_snapshots().filter(lambda index: index.postings), data=st.data())
+    def test_mutated_payloads_agree_with_reference(self, index, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("idx") / "index.json"
+        save_index(index, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        _mutate(payload, data.draw)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        got, want = _outcome(load_index, path), _outcome(reference_load_index, path)
+        assert got == want
+        if got is not CorruptIndex:
+            for plist in got.postings.values():
+                assert all(type(p.doc) is int and type(p.tf) is int for p in plist)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda payload: payload.update(postings=[]),
+            lambda payload: payload.update(postings={"pizza": 5}),
+            lambda payload: payload["postings"]["pizza"][0].__setitem__(0, float("inf")),
+            lambda payload: payload["postings"]["pizza"][0].__setitem__(2, float("inf")),
+            lambda payload: payload["doc_table"][0].update(size_bytes=float("inf")),
+        ],
+        ids=["postings-list", "rows-not-a-list", "infinite-doc", "infinite-tf", "infinite-size"],
+    )
+    def test_malformed_payloads_are_corrupt(self, tmp_path, mutate):
+        # The reference loader lets AttributeError, TypeError or
+        # OverflowError escape for these.
+        path = tmp_path / "index.json"
+        save_index(small_index(), path)
+        payload = json.loads(path.read_text())
+        mutate(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptIndex):
+            load_index(path)
+
+
+class TestLoadIndexGc:
+    """load_index turns the cyclic collector off while it runs and puts
+    the caller's state back, whatever happens."""
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_enabled_after_successful_load(self, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(small_index(), path)
+        gc.enable()
+        assert load_index(path) == small_index()
+        assert gc.isenabled()
+
+    def test_enabled_after_corrupt_index(self, tmp_path):
+        path = tmp_path / "index.json"
+        path.write_text('{"version": 1, "totals": {"docs": 0}, "doc_table": [], "postings": {"x": []}}')
+        gc.enable()
+        with pytest.raises(CorruptIndex):
+            load_index(path)
+        assert gc.isenabled()
+
+    def test_disabled_stays_disabled(self, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(small_index(), path)
+        gc.disable()
+        load_index(path)
+        assert not gc.isenabled()
+
+    def test_off_while_json_is_parsed(self, tmp_path, monkeypatch):
+        path = tmp_path / "index.json"
+        save_index(small_index(), path)
+        seen = []
+        real_loads = json.loads
+
+        def loads(text):
+            seen.append(gc.isenabled())
+            return real_loads(text)
+
+        monkeypatch.setattr(indexer.json, "loads", loads)
+        gc.enable()
+        load_index(path)
+        assert seen == [False]
