@@ -9,6 +9,7 @@ failure, 2 usage error, 3 empty query result.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from pathlib import Path
@@ -50,6 +51,11 @@ def _add_data_dir(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="owse", description=__doc__)
+    parser.add_argument(
+        "--log-level",
+        choices=("debug", "info", "warning", "error"),
+        help="log to stderr from this level up (default: logging is not configured)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_crawl = sub.add_parser("crawl", help="browse the web for ontology URLs")
@@ -192,6 +198,8 @@ def cmd_fixture(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.log_level:
+        logging.basicConfig(level=args.log_level.upper(), format="%(levelname)s %(name)s: %(message)s")
     try:
         if args.command == "fixture":
             return cmd_fixture(args)

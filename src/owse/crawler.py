@@ -136,32 +136,77 @@ class _LinkScanner(HTMLParser):
                     break
 
 
-def extract_html_links(body: bytes, base: str) -> list[str]:
+# A resolution table: normalize_url results keyed by what they depend on
+# (see _resolve), None for an href that does not normalize.
+Resolutions = dict[tuple[str, str], str | None]
+_UNRESOLVED = object()
+
+
+def _is_base_free(href: str) -> bool:
+    """True when ``href`` (stripped) is ``http(s)://`` with a non-empty
+    authority and no tab, CR or LF, which urlsplit deletes: its
+    normalization then depends on the base's scheme alone, because
+    urljoin re-serializes it (dropping an empty ``;params``) only when the
+    schemes match."""
+    if href.startswith("http://"):
+        first = href[7:8]
+    elif href.startswith("https://"):
+        first = href[8:9]
+    else:
+        return False
+    return first not in ("", "/", "?", "#") and "\t" not in href and "\r" not in href and "\n" not in href
+
+
+def _resolve(hrefs: list[str], base: str, resolved: Resolutions) -> list[str]:
+    """``normalize_url(href, base)`` of each href that normalizes, in
+    order, each distinct key normalized once per ``resolved`` table.
+
+    A base-free href is keyed by (base scheme, href), any other by
+    (base, href). A base that urlsplit rejects fails every href (urljoin
+    parses the base first) and keys them all itself; no scheme equals it.
+    """
+    try:
+        scheme = urlsplit(base).scheme
+    except ValueError:
+        scheme = base
+    links = []
+    for href in hrefs:
+        href = href.strip()  # as normalize_url does
+        key = (scheme if _is_base_free(href) else base, href)
+        link = resolved.get(key, _UNRESOLVED)
+        if link is _UNRESOLVED:
+            try:
+                link = normalize_url(href, base)
+            except OwseError:
+                link = None
+            resolved[key] = link
+        if link is not None:
+            links.append(link)
+    return links
+
+
+def extract_html_links(body: bytes, base: str, resolved: Resolutions | None = None) -> list[str]:
     """Normalized link targets of an HTML document, in document order.
 
     Honors the first in-document <base href>. Unparseable and non-http
     targets are dropped; duplicates are preserved (the frontier dedups).
+    ``resolved`` is a resolution table shared by the pages of one crawl;
+    by default the call uses a fresh one.
     """
     scanner = _LinkScanner(base)
     scanner.feed(body.decode("utf-8", errors="replace"))
     scanner.close()
-    links = []
-    for href in scanner.hrefs:
-        try:
-            links.append(normalize_url(href, scanner.base))
-        except OwseError:
-            continue
-    return links
+    return _resolve(scanner.hrefs, scanner.base, {} if resolved is None else resolved)
 
 
 def extract_ontology_refs(triples: TripleSet) -> list[str]:
     """http/https objects of owl:imports and rdfs:seeAlso statements."""
-    refs: list[str] = []
+    refs: dict[str, None] = {}  # ordered set
     for _, predicate, obj in triples.triples:
         if predicate in (OWL_IMPORTS, RDFS_SEEALSO) and isinstance(obj, Iri):
-            if urlsplit(obj).scheme in ("http", "https") and obj not in refs:
-                refs.append(str(obj))
-    return refs
+            if obj not in refs and urlsplit(obj).scheme in ("http", "https"):
+                refs[str(obj)] = None
+    return list(refs)
 
 
 def parse_robots(text: str) -> list[str]:
@@ -278,6 +323,7 @@ class _Crawl:
         self.gate = _PolitenessGate(config.politeness_ms)
         self.frontier = _Frontier()
         self.visited: set[str] = set()
+        self.resolved: Resolutions = {}
         self.report = CrawlReport()
         self.stop: StopReason | None = None
         self._robots: dict[str, list[str]] = {}
@@ -358,11 +404,8 @@ class _Crawl:
             except (XmlNotWellFormed, NotRdf) as exc:
                 log.warning("%s: cannot scan for ontology references (%s)", canonical_url, exc)
                 return
-            for ref in extract_ontology_refs(triples):
-                try:
-                    self.enqueue(normalize_url(ref, canonical_url), outcome.depth + 1, canonical_url)
-                except OwseError:
-                    continue
+            for ref in _resolve(extract_ontology_refs(triples), canonical_url, self.resolved):
+                self.enqueue(ref, outcome.depth + 1, canonical_url)
 
     def _process(self, outcome: _Outcome) -> None:
         if outcome.error_kind is not None:
@@ -403,7 +446,7 @@ class _Crawl:
         else:
             self.report.pages_fetched += 1
             if kind is ResourceKind.HTML and outcome.depth < self.config.max_depth:
-                for link in extract_html_links(response.body, canonical_url):
+                for link in extract_html_links(response.body, canonical_url, self.resolved):
                     self.enqueue(link, outcome.depth + 1, canonical_url)
         self._check_budgets()
 

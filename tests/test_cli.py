@@ -1,13 +1,20 @@
+import hashlib
 import http.client
 import json
+import os
 import statistics
+import subprocess
+import sys
 import time
 
 import pytest
 
 from owse import cli
-from owse.indexer import INDEX_NAME
+from owse.indexer import INDEX_NAME, load_index
+from owse.storage import OntologyRepository, UrlRecord, UrlRepository
 from owse.transport import HttpTransport
+
+from conftest import REPO_ROOT, WEBROOT
 
 
 def run_cli(*argv):
@@ -179,3 +186,58 @@ class TestPipeline:
             rank, score, url, terms = line.split("\t")
             float(score)  # 4-decimal score parses
             assert url.startswith("http://")
+
+
+class TestStaleTmpFiles:
+    def test_torn_tmp_files_break_neither_index_nor_put(self, tmp_path, capsys):
+        # What a crash between write and rename leaves behind.
+        data = (WEBROOT / "onts" / "library.rdf").read_bytes()
+        blob_id = hashlib.sha256(data).hexdigest()
+        repo = OntologyRepository(tmp_path)
+        (repo.objects_dir / f"{blob_id}.tmp").write_bytes(data[:100])
+        (tmp_path / "index.tmp").write_text('{"version": 1, "docs": [{"bl')
+
+        url = "http://fixture.test/onts/library.rdf"
+        UrlRepository(tmp_path).append(UrlRecord(url=url))
+        assert repo.put(data, source_url=url).id == blob_id
+        assert repo.get(blob_id) == data
+        assert repo.count() == 1
+
+        assert run_cli("index", "--data-dir", str(tmp_path)) == 0
+        assert capsys.readouterr().out == "indexed: 1 skipped: 0\n"
+        assert [doc.url for doc in load_index(tmp_path / INDEX_NAME).doc_table] == [url]
+        assert not (tmp_path / "index.tmp").exists()
+
+
+def run_owse(*argv):
+    """``owse argv`` in a fresh interpreter, so its logging setup is its own."""
+    path = [str(REPO_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-m", "owse.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+class TestLogLevel:
+    def test_info_shows_stored_ontologies_and_leaves_stdout_alone(self, tmp_path, fixture_site):
+        def crawl(data_dir, *options):
+            return run_owse(
+                *options, "crawl", "--data-dir", str(data_dir),
+                "--seed", f"{fixture_site}/index.html", "--politeness-ms", "0",
+            )
+
+        def report(out):
+            return [line for line in out.splitlines() if not line.startswith("elapsed_ms:")]
+
+        quiet = crawl(tmp_path / "quiet")
+        logged = crawl(tmp_path / "logged", "--log-level", "info")
+        assert quiet.returncode == logged.returncode == 0
+        assert quiet.stderr == ""
+        assert report(logged.stdout) == report(quiet.stdout)
+        assert f"INFO owse.crawler: ontology {fixture_site}/onts/library.rdf stored as " in logged.stderr
+
+    def test_unknown_level_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("--log-level", "loud", "stats", "--data-dir", str(tmp_path))
+        assert excinfo.value.code == 2
+        assert "--log-level" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import html
 import random
 from collections import deque
 
@@ -16,10 +17,19 @@ from owse.crawler import (
     extract_ontology_refs,
     parse_robots,
 )
-from owse.errors import ConfigError
-from owse.ontology import parse_rdfxml
+from owse.errors import ConfigError, OwseError
+from owse.ontology import (
+    OWL_IMPORTS,
+    RDFS_LABEL,
+    RDFS_SEEALSO,
+    Iri,
+    Literal,
+    Triple,
+    TripleSet,
+    parse_rdfxml,
+)
 from owse.storage import OntologyRepository, UrlRepository
-from owse.urls import host_of
+from owse.urls import host_of, normalize_url
 
 from support import FIXTURE_HOST, StaticTransport, static_site_from
 
@@ -96,6 +106,89 @@ class TestExtractHtmlLinks:
         for link in extract_html_links(body, "http://x/d/"):
             assert link.startswith(("http://", "https://"))
 
+    def test_empty_params_of_absolute_href_depend_on_base_scheme(self):
+        # urljoin drops an empty ";params" only when href and base share a
+        # scheme ("http://h/x" against an http base, "http://h/x;" against
+        # an https one), so a table shared by an http and an https page
+        # must not key an absolute href by the href alone.
+        resolved = {}
+        body = b'<a href="http://h/x;">x</a>'
+        for base in ("http://b/", "https://b/", "http://c/"):
+            assert extract_html_links(body, base, resolved) == [normalize_url("http://h/x;", base)]
+
+
+# Hrefs whose normalization depends on the base in ways a resolution key
+# can get wrong: empty params, empty or whitespace-only authorities,
+# characters urlsplit deletes, bad brackets and ports, other schemes.
+HREFS = [
+    "http://h/x;", "https://h/x;", "http:///x", "https:///x", "http://", "http:// ",
+    "http://\t/x", "http://\n/x", "http://\r/x", "https://\r\n", "http://h\n/x", "http://h/\tx",
+    "HTTP://H:80/", "https://H:443/a/../b", "http://h:8080", "http://h:bad/", "http://?q", "http://#f",
+    "//host/x", "//", "../up", "a/./b/../c", "?q=1", "#top", "", " ", "x;",
+    "http://u:p@h/x", "http://u@h", "http://[::1]/x", "http://[::1]:8080/", "http://[::1",
+    "http://h]/", "mailto:a@b", "javascript:void(0)", "ftp://h/f", "\x00http://h/",
+]
+HREF_PIECES = [
+    "http:", "https:", "HTTP:", "//", "/", "h", "H", ":80", ":443", ";", "..", ".",
+    "?", "#", "@", "[", "]", "::1", " ", "\t", "\n", "\r", "x", "\u00e9",
+]
+# Same-scheme bases on different hosts and paths, so that a key which
+# leaves out what a result depends on returns another page's result; a
+# base urlsplit rejects, and one without a scheme.
+BASES = [
+    "http://b/", "http://c/d/p.html", "http://b/d/p;q?r", "https://b/", "https://c:8443/d/",
+    "http://[::1", "d/p",
+]
+BASE_TAGS = [None, "http://cdn/", "https://cdn/s/", "/other/", "http://[::1", "mailto:x", "http:///x"]
+
+
+def normalized_or_none(href, base):
+    try:
+        return normalize_url(href, base)
+    except OwseError:
+        return None
+
+
+def effective_base(base, base_tag):
+    if base_tag:
+        try:
+            return normalize_url(base_tag, base)
+        except OwseError:
+            pass
+    return base
+
+
+class TestResolutionTable:
+    """extract_html_links through one shared table equals normalize_url
+    per href, on every page that shares it."""
+
+    def check_pages(self, hrefs, pages):
+        # Every page links the same hrefs, so each is resolved against
+        # every base and base tag, through one table.
+        resolved = {}
+        links = "".join(f'<a href="{html.escape(h)}">x</a>' for h in hrefs)
+        for base, base_tag in pages:
+            head = f'<base href="{html.escape(base_tag)}">' if base_tag else ""
+            body = (head + links).encode()
+            page_base = effective_base(base, base_tag)
+            expected = [link for h in hrefs if (link := normalized_or_none(h, page_base)) is not None]
+            assert extract_html_links(body, base, resolved) == expected, (base, base_tag)
+            assert extract_html_links(body, base) == expected
+
+    def test_listed_hrefs_on_every_base(self):
+        self.check_pages(HREFS, [(base, tag) for base in BASES for tag in BASE_TAGS])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(HREFS), st.lists(st.sampled_from(HREF_PIECES), max_size=8).map("".join)),
+            max_size=8,
+        ),
+        st.lists(st.tuples(st.sampled_from(BASES), st.sampled_from(BASE_TAGS)), max_size=6),
+    )
+    def test_shared_table_equals_normalize_url(self, hrefs, pages):
+        self.check_pages(hrefs, pages)
+
 
 class TestExtractOntologyRefs:
     def parse(self, inner):
@@ -128,6 +221,20 @@ class TestExtractOntologyRefs:
             '<owl:Ontology rdf:about=""><owl:imports rdf:resource="urn:x:y"/></owl:Ontology>'
         )
         assert extract_ontology_refs(triples) == []
+
+    def test_many_refs_deduplicated_in_first_seen_order(self):
+        rng = random.Random(5)
+        refs = [f"http://y/{n}.owl" for n in range(4000)] + [f"urn:x:{n}" for n in range(100)]
+        rows = []
+        for ref in rng.choices(refs, k=12000):
+            predicate = rng.choice([OWL_IMPORTS, RDFS_SEEALSO, RDFS_LABEL])
+            obj = Literal(ref) if rng.random() < 0.05 else Iri(ref)
+            rows.append(Triple(Iri(f"http://x/o#{len(rows)}"), Iri(predicate), obj))
+        expected = dict.fromkeys(
+            obj for _, predicate, obj in rows
+            if predicate != RDFS_LABEL and isinstance(obj, Iri) and obj.startswith("http:")
+        )
+        assert extract_ontology_refs(TripleSet(triples=rows)) == list(expected)
 
 
 class TestParseRobots:
