@@ -136,8 +136,8 @@ class _LinkScanner(HTMLParser):
                     break
 
 
-# A resolution table: normalize_url results keyed by what they depend on
-# (see _resolve), None for an href that does not normalize.
+# A resolution table: normalize_url results of base-free hrefs keyed by
+# (base scheme, href), None for an href that does not normalize.
 Resolutions = dict[tuple[str, str], str | None]
 _UNRESOLVED = object()
 
@@ -159,27 +159,34 @@ def _is_base_free(href: str) -> bool:
 
 def _resolve(hrefs: list[str], base: str, resolved: Resolutions) -> list[str]:
     """``normalize_url(href, base)`` of each href that normalizes, in
-    order, each distinct key normalized once per ``resolved`` table.
+    order, each distinct href normalized once per call.
 
-    A base-free href is keyed by (base scheme, href), any other by
-    (base, href). A base that urlsplit rejects fails every href (urljoin
-    parses the base first) and keys them all itself; no scheme equals it.
+    A base-free href is also keyed by (base scheme, href) in ``resolved``,
+    shared by the pages of a crawl, so it is normalized once per table.
+    Any other href is keyed in a table local to the call: keyed by its
+    base, it would almost never hit again. A base that urlsplit rejects
+    fails every href (urljoin parses the base first); all its hrefs stay
+    local.
     """
     try:
         scheme = urlsplit(base).scheme
     except ValueError:
-        scheme = base
+        scheme = None
+    local: dict[str, str | None] = {}
     links = []
     for href in hrefs:
         href = href.strip()  # as normalize_url does
-        key = (scheme if _is_base_free(href) else base, href)
-        link = resolved.get(key, _UNRESOLVED)
+        if scheme is not None and _is_base_free(href):
+            table, key = resolved, (scheme, href)
+        else:
+            table, key = local, href
+        link = table.get(key, _UNRESOLVED)
         if link is _UNRESOLVED:
             try:
                 link = normalize_url(href, base)
             except OwseError:
                 link = None
-            resolved[key] = link
+            table[key] = link
         if link is not None:
             links.append(link)
     return links

@@ -13,6 +13,9 @@ import json
 import logging
 import os
 import re
+from collections import Counter
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -86,55 +89,67 @@ class InvertedIndex:
         return len({p.doc for p in self.postings.get(term, [])})
 
 
-_WORD_RUN = re.compile(r"[A-Za-z0-9]+")
-# Split points inside a run: aB (lower-to-upper) and the last capital of an
-# uppercase run followed by a lowercase letter (HTTPServer -> HTTP Server).
-_CASE_SPLIT = re.compile(r"(?<=[a-z])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+# Terms are the camel-case pieces of ASCII alphanumeric runs. A capital
+# joins a piece only at its start or after a digit, and an uppercase run
+# leaves its last capital to the next piece when a lowercase letter
+# follows it (HTTPServer -> HTTP Server).
+_UPPER_RUN = r"[A-Z](?:[A-Z](?![a-z]))*"
+_PIECE = re.compile(
+    rf"(?:{_UPPER_RUN}|[a-z]|[0-9]+(?:{_UPPER_RUN})?)(?:[a-z]+|[0-9]+(?:{_UPPER_RUN})?)*"
+)
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercased terms of ``text``, order preserved.
 
-    Splits on non-alphanumeric characters and at camel-case boundaries,
-    then drops tokens shorter than two characters.
+    Splits on anything but ASCII letters and digits and at camel-case
+    boundaries, then drops tokens shorter than two characters.
     """
-    tokens = []
-    for run in _WORD_RUN.findall(text):
-        for piece in _CASE_SPLIT.split(run):
-            if len(piece) >= MIN_TOKEN_LEN:
-                tokens.append(piece.lower())
-    return tokens
+    return [piece.lower() for piece in _PIECE.findall(text) if len(piece) >= MIN_TOKEN_LEN]
 
 
 def index_ontology(summary: OntologySummary, ordinal: int) -> list[tuple[str, Posting]]:
-    """Term/posting pairs for one ontology, tf aggregated per field."""
-    counts: dict[tuple[str, FieldKind], int] = {}
+    """Term/posting pairs for one ontology, tf aggregated per field, in
+    (term, field rank) order.
 
-    def bump(terms: list[str], kind: FieldKind) -> None:
-        for term in terms:
-            key = (term, kind)
-            counts[key] = counts.get(key, 0) + 1
-
-    for element in summary.classes:
-        bump(tokenize(element.local_name), FieldKind.CLASS_NAME)
-    for element in summary.properties:
-        bump(tokenize(element.local_name), FieldKind.PROPERTY_NAME)
-    for element in summary.classes + summary.properties:
-        for label in element.labels:
-            bump(tokenize(label), FieldKind.LABEL)
-        for comment in element.comments:
-            bump(tokenize(comment), FieldKind.COMMENT)
-    bump(tokenize(summary.ontology_iri), FieldKind.ONTOLOGY_IRI)
-    bump(tokenize(summary.source_url), FieldKind.ONTOLOGY_IRI)
-
+    Each field's texts are tokenized in one call, joined by a space,
+    which never joins two terms."""
+    elements = summary.classes + summary.properties
+    fields = [
+        (FieldKind.CLASS_NAME, [e.local_name for e in summary.classes]),
+        (FieldKind.PROPERTY_NAME, [e.local_name for e in summary.properties]),
+        (FieldKind.LABEL, [label for e in elements for label in e.labels]),
+        (FieldKind.COMMENT, [comment for e in elements for comment in e.comments]),
+        (FieldKind.ONTOLOGY_IRI, [summary.ontology_iri, summary.source_url]),
+    ]
+    counted = [(kind, Counter(tokenize(" ".join(texts)))) for kind, texts in fields]
+    new_posting = tuple.__new__  # Posting(...) without its Python-level __new__
     return [
-        (term, Posting(ordinal, kind, tf))
-        for (term, kind), tf in sorted(
-            counts.items(), key=lambda item: (item[0][0], item[0][1].rank)
-        )
+        (term, new_posting(Posting, (ordinal, kind, tf)))
+        for term in sorted(set().union(*[counts for _, counts in counted]))
+        for kind, counts in counted
+        if (tf := counts.get(term))
     ]
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Cyclic collector off for the decorated call, the caller's state put
+    back after. Indexing and index loading allocate objects by the
+    hundred thousand (a tuple per posting, 157k for 1000 documents) and
+    make no reference cycles: after a whole ``run_indexer`` with the
+    collector off, a collection finds nothing unreachable. The
+    collections these allocations set off only cost time."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def build_index(summaries: list[OntologySummary]) -> InvertedIndex:
     """Inverted index over ``summaries``; ordinals follow input order.
 
@@ -189,26 +204,12 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     os.replace(tmp, path)
 
 
+@_collector_paused()
 def load_index(path: str | Path) -> InvertedIndex:
-    """Read an index file, validating version and structural invariants.
-
-    The cyclic collector is off for the whole load: the index is one
-    tuple per posting (157k for 1000 documents), and the collections
-    their allocation sets off find nothing to free. The caller's GC
-    state is put back after."""
+    """Read an index file, validating version and structural invariants."""
     path = Path(path)
     if not path.exists():
         raise NotFound(f"index not found: {path}")
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _read_index(path)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _read_index(path: Path) -> InvertedIndex:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -281,11 +282,17 @@ def _read_index(path: Path) -> InvertedIndex:
 
 @dataclass
 class IndexReport:
+    """Outcome of ``run_indexer``: ``warnings`` are (url, reason) of
+    skipped documents, ``parse_warnings`` counts the indexed documents'
+    parser warnings by kind (see ``TripleSet``)."""
+
     indexed: int = 0
     skipped: int = 0
     warnings: list[tuple[str, str]] = field(default_factory=list)
+    parse_warnings: Counter[str] = field(default_factory=Counter)
 
 
+@_collector_paused()
 def run_indexer(data_dir: str | Path, transport: Transport) -> IndexReport:
     """Drain the URL journal in order, summarize each ontology, and
     persist the resulting index.
@@ -337,6 +344,7 @@ def run_indexer(data_dir: str | Path, transport: Transport) -> IndexReport:
             report.warnings.append((record.url, f"{type(exc).__name__}: {exc}"))
             continue
         summaries.append(summarize_ontology(triples, record.url, blob_id, len(data)))
+        report.parse_warnings.update(triples.warning_kinds)
         report.indexed += 1
 
     index = build_index(summaries)

@@ -88,11 +88,16 @@ class Triple(NamedTuple):
 
 @dataclass
 class TripleSet:
-    """Parsed statements in document order, without exact duplicates."""
+    """Parsed statements in document order, without exact duplicates.
+
+    ``warning_kinds[i]`` is the kind of ``warnings[i]``, one of
+    "parseType", "rdf:li", "nodeID", "reification", "mixed-content",
+    "nested-nodes", "non-namespaced-tag" and "unresolvable-iri"."""
 
     triples: list[Triple] = field(default_factory=list)
     base_iri: str = ""
     warnings: list[str] = field(default_factory=list)
+    warning_kinds: list[str] = field(default_factory=list)
 
 
 def local_name(iri: str) -> str:
@@ -119,6 +124,7 @@ class _Parser:
     def __init__(self) -> None:
         self.triples: list[Triple] = []
         self.warnings: list[str] = []
+        self.warning_kinds: list[str] = []
         self._seen: set[tuple] = set()
         self._blank_counter = 0
         self._tag_iris: dict[str, Iri | None] = {}
@@ -151,7 +157,9 @@ class _Parser:
         try:
             return self.join(base, ref)
         except ValueError as exc:
-            self.warn(f"skipped element with unresolvable IRI {ref!r} against {base!r} ({exc})")
+            self.warn(
+                "unresolvable-iri", f"skipped element with unresolvable IRI {ref!r} against {base!r} ({exc})"
+            )
             return None
 
     def fresh_blank(self) -> BlankNode:
@@ -159,8 +167,9 @@ class _Parser:
         self._blank_counter += 1
         return node
 
-    def warn(self, message: str) -> None:
+    def warn(self, kind: str, message: str) -> None:
         self.warnings.append(message)
+        self.warning_kinds.append(kind)
 
     def emit(self, subject: str, predicate: Iri, obj: str) -> None:
         key = (subject.__class__, subject, predicate, obj.__class__, obj)
@@ -180,7 +189,9 @@ class _Parser:
             return None
         type_iri = self.tag_iri(element.tag)
         if type_iri is None:
-            self.warn(f"skipped node element with non-namespaced tag {element.tag!r}")
+            self.warn(
+                "non-namespaced-tag", f"skipped node element with non-namespaced tag {element.tag!r}"
+            )
             return None
 
         about = element.get(_RDF_ABOUT)
@@ -194,7 +205,7 @@ class _Parser:
             subject = Iri(base.split("#", 1)[0] + "#" + rdf_id)
         else:
             if element.get(_RDF_NODEID) is not None:
-                self.warn("rdf:nodeID on node element ignored; fresh blank node used")
+                self.warn("nodeID", "rdf:nodeID on node element ignored; fresh blank node used")
             subject = self.fresh_blank()
 
         if type_iri != RDF_NS + "Description":
@@ -210,19 +221,25 @@ class _Parser:
             return
         predicate = self.tag_iri(element.tag)
         if predicate is None:
-            self.warn(f"skipped property element with non-namespaced tag {element.tag!r}")
+            self.warn(
+                "non-namespaced-tag", f"skipped property element with non-namespaced tag {element.tag!r}"
+            )
             return
         if element.tag == _RDF_LI_TAG:
-            self.warn("skipped rdf:li property element (containers unsupported)")
+            self.warn("rdf:li", "skipped rdf:li property element (containers unsupported)")
             return
         if element.get(_RDF_PARSETYPE) is not None:
-            self.warn(f"skipped property {predicate} with rdf:parseType (unsupported)")
+            self.warn("parseType", f"skipped property {predicate} with rdf:parseType (unsupported)")
             return
         if element.get(_RDF_NODEID) is not None:
-            self.warn(f"skipped property {predicate} with rdf:nodeID object (unsupported)")
+            self.warn(
+                "nodeID", f"skipped property {predicate} with rdf:nodeID object (unsupported)"
+            )
             return
         if element.get(_RDF_ID) is not None:
-            self.warn(f"skipped property {predicate} with rdf:ID (reification unsupported)")
+            self.warn(
+                "reification", f"skipped property {predicate} with rdf:ID (reification unsupported)"
+            )
             return
 
         resource = element.get(_RDF_RESOURCE)
@@ -231,7 +248,9 @@ class _Parser:
 
         if resource is not None:
             if children or has_text:
-                self.warn(f"skipped property {predicate}: rdf:resource mixed with content")
+                self.warn(
+                    "mixed-content", f"skipped property {predicate}: rdf:resource mixed with content"
+                )
                 return
             resolved = self.resolve(base, resource)
             if resolved is not None:
@@ -243,7 +262,9 @@ class _Parser:
         elif not children:
             self.emit(subject, predicate, Literal(element.text or ""))
         else:
-            self.warn(f"skipped property {predicate}: multiple nested node elements")
+            self.warn(
+                "nested-nodes", f"skipped property {predicate}: multiple nested node elements"
+            )
 
 
 def _xml_root(data: bytes) -> ET.Element:
@@ -287,6 +308,7 @@ def parse_rdfxml(data: bytes, base: str) -> TripleSet:
         triples=parser.triples,
         base_iri=base if doc_base is None else doc_base,
         warnings=parser.warnings,
+        warning_kinds=parser.warning_kinds,
     )
 
 

@@ -2,16 +2,16 @@
 
 Recomputes term frequencies and document frequencies directly from
 ontology summaries and evaluates the ranking formula from first
-principles. The field weights are restated literally here so a weight
-regression in the engine cannot hide.
+principles. The field weights and the tokenizer are restated literally
+here so a weight or tokenizer regression in the engine cannot hide.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
-from owse.indexer import tokenize
 from owse.ontology import OntologySummary
 
 WEIGHTS = {
@@ -22,6 +22,23 @@ WEIGHTS = {
     "OntologyIri": 1.5,
 }
 FIELDS = ["ClassName", "PropertyName", "Label", "Comment", "OntologyIri"]
+
+_WORD_RUN = re.compile(r"[A-Za-z0-9]+")
+# Split points inside a run: aB (lower-to-upper) and the last capital of an
+# uppercase run followed by a lowercase letter (HTTPServer -> HTTP Server).
+_CASE_SPLIT = re.compile(r"(?<=[a-z])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercased terms of ``text``, order preserved: ASCII alphanumeric
+    runs split at camel-case boundaries, pieces shorter than two
+    characters dropped."""
+    tokens = []
+    for run in _WORD_RUN.findall(text):
+        for piece in _CASE_SPLIT.split(run):
+            if len(piece) >= 2:
+                tokens.append(piece.lower())
+    return tokens
 
 
 def field_counts(summary: OntologySummary) -> dict[str, Counter]:

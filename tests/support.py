@@ -18,6 +18,40 @@ from owse.transport import FetchResponse
 FIXTURE_HOST = "http://fixture.test"
 
 
+# One of each construct the RDF/XML parser skips with a warning, and the
+# kinds of those warnings in document order.
+UNSUPPORTED_RDF = (
+    '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+    ' xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"'
+    ' xmlns:owl="http://www.w3.org/2002/07/owl#">'
+    "<plain/>"
+    '<rdf:Description rdf:nodeID="n1"><rdfs:label>blank</rdfs:label></rdf:Description>'
+    '<owl:Class rdf:about="#A">'
+    "<bare>x</bare>"
+    "<rdf:li>x</rdf:li>"
+    '<rdfs:comment rdf:parseType="Literal"><b>x</b></rdfs:comment>'
+    '<rdfs:seeAlso rdf:nodeID="n2"/>'
+    '<rdfs:label rdf:ID="r1">x</rdfs:label>'
+    '<rdfs:seeAlso rdf:resource="#B">text</rdfs:seeAlso>'
+    "<rdfs:subClassOf><owl:Class/><owl:Class/></rdfs:subClassOf>"
+    '<rdfs:seeAlso rdf:resource="http://[bad/x"/>'
+    "<rdfs:label>kept</rdfs:label>"
+    "</owl:Class></rdf:RDF>"
+).encode()
+UNSUPPORTED_KINDS = [
+    "non-namespaced-tag",
+    "nodeID",
+    "non-namespaced-tag",
+    "rdf:li",
+    "parseType",
+    "nodeID",
+    "reification",
+    "mixed-content",
+    "nested-nodes",
+    "unresolvable-iri",
+]
+
+
 class StaticTransport:
     """In-memory transport: URL -> (status, content type, body).
 

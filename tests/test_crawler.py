@@ -10,7 +10,9 @@ from owse.crawler import (
     CrawlConfig,
     ResourceKind,
     StopReason,
+    _Crawl,
     _Frontier,
+    _is_base_free,
     classify_resource,
     crawl,
     extract_html_links,
@@ -584,6 +586,29 @@ class TestCrawl:
             by_host.setdefault(url.split("/")[2], []).append(started)
         for starts in by_host.values():
             assert all(b - a >= 0.020 for a, b in zip(starts, starts[1:]))
+
+    def test_ipv6_link_fetched_with_brackets(self, tmp_path):
+        transport = StaticTransport(
+            {"http://h.test/index.html": (200, "text/html", b'<a href="http://[::1]:8080/o.owl">')}
+        )
+        report, _, _ = run_crawl(transport, tmp_path, seeds=["http://h.test/index.html"])
+        assert transport.requested_urls()[-2:] == [
+            "http://[::1]:8080/robots.txt",
+            "http://[::1]:8080/o.owl",
+        ]
+        assert ("http://[::1]:8080/o.owl", "http-404") in report.errors
+
+    def test_resolution_table_keeps_only_base_free_keys(self, tmp_path, webroot):
+        config = CrawlConfig(
+            seeds=[f"{FIXTURE_HOST}/index.html"],
+            politeness_ms=0,
+            follow_ontology_links=True,
+            workers=1,
+        )
+        run = _Crawl(config, static_site_from(webroot), UrlRepository(tmp_path), OntologyRepository(tmp_path))
+        run.run()
+        assert run.resolved
+        assert all(scheme in ("http", "https") and _is_base_free(href) for scheme, href in run.resolved)
 
     def test_invalid_config_rejected(self, tmp_path, webroot):
         transport = static_site_from(webroot)

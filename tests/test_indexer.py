@@ -1,10 +1,11 @@
+import gc
 import hashlib
 from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owse import storage
+from owse import indexer, storage
 from owse.indexer import (
     FieldKind,
     build_index,
@@ -14,10 +15,24 @@ from owse.indexer import (
     save_index,
     tokenize,
 )
-from owse.ontology import parse_rdfxml, summarize_ontology
+from owse.ontology import (
+    ElementKind,
+    OntologyElement,
+    OntologySummary,
+    parse_rdfxml,
+    summarize_ontology,
+)
 from owse.storage import UrlRecord, UrlRepository
 
-from support import FIXTURE_HOST, StaticTransport, make_summary, static_site_from
+import oracle
+from support import (
+    FIXTURE_HOST,
+    UNSUPPORTED_KINDS,
+    UNSUPPORTED_RDF,
+    StaticTransport,
+    make_summary,
+    static_site_from,
+)
 
 ONT_NAMES = ["library.rdf", "pizza.owl", "vehicle.rdf", "metadata.rdf"]
 
@@ -30,6 +45,43 @@ def fixture_summaries(webroot, base_prefix="http://fixture.local/onts/"):
         triples = parse_rdfxml(data, base=url)
         summaries.append(summarize_ontology(triples, url, "0" * 64, len(data)))
     return summaries
+
+
+# Texts composed of camel and upper runs, digits inside runs, separators
+# and non-ASCII letters (the Kelvin sign lowercases to ASCII "k").
+TEXT_PIECES = [
+    "a", "z", "A", "Z", "0", "9", "ab", "AB", "Ab", "aB", "a1B", "ABC1d", "1a", "1A",
+    "HTTPServer", "hasAuthor", "XMLHttpRequest", "v2Beta", "_", "-", "#", "/", ".", " ",
+    "\u00e9", "\u00c9", "Caf\u00e9", "\u0130", "\u0131", "\u212a", "\u00df", "\ufb01",
+]
+texts = st.one_of(
+    st.lists(st.sampled_from(TEXT_PIECES), max_size=12).map("".join),
+    st.text(max_size=30),
+)
+
+
+@st.composite
+def summaries(draw):
+    def elements(kind):
+        return [
+            OntologyElement(
+                iri=f"http://x.example/o#{name}",
+                local_name=name,
+                labels=draw(st.lists(texts, max_size=3)),
+                comments=draw(st.lists(texts, max_size=3)),
+                kind=kind,
+            )
+            for name in draw(st.lists(texts, max_size=4))
+        ]
+
+    return OntologySummary(
+        ontology_iri=draw(texts),
+        source_url="http://" + draw(texts),
+        blob_id="0" * 64,
+        size_bytes=1,
+        classes=elements(ElementKind.CLASS),
+        properties=elements(ElementKind.PLAIN_PROPERTY),
+    )
 
 
 class TestTokenize:
@@ -48,6 +100,14 @@ class TestTokenize:
 
     def test_order_preserved(self):
         assert tokenize("Beta alpha Beta") == ["beta", "alpha", "beta"]
+
+    def test_only_ascii_letters_and_digits_form_terms(self):
+        assert tokenize("Caf\u00e9 na\u00efve \u212aelvin") == ["caf", "na", "ve", "elvin"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(texts)
+    def test_equals_reference_tokenizer(self, text):
+        assert tokenize(text) == oracle.tokenize(text)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=60))
@@ -84,6 +144,18 @@ class TestIndexOntology:
         summary = make_summary("http://x/o.owl", class_names=["PizzaBase", "PizzaTopping"])
         pairs = dict(index_ontology(summary, ordinal=0))
         assert pairs["pizza"].tf == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(summaries(), st.integers(min_value=0, max_value=5))
+    def test_equals_per_element_recount(self, summary, ordinal):
+        counts = oracle.field_counts(summary)
+        expected = [
+            (term, (ordinal, kind, counts[kind.value][term]))
+            for term in sorted(set().union(*counts.values()))
+            for kind in FieldKind
+            if counts[kind.value][term]
+        ]
+        assert index_ontology(summary, ordinal) == expected
 
 
 class TestBuildIndex:
@@ -211,6 +283,40 @@ class TestRunIndexer:
         index = load_index(tmp_path / "index.json")
         assert [entry.url for entry in index.doc_table] == urls
         assert [p.doc for p in index.postings["kept"]] == [1]
+
+    def test_parse_warnings_counted_by_kind(self, tmp_path, webroot):
+        transport = static_site_from(webroot)
+        unsupported = [f"{FIXTURE_HOST}/onts/unsupported{i}.rdf" for i in (1, 2)]
+        for url in unsupported:
+            transport.pages[url] = (200, "application/rdf+xml", UNSUPPORTED_RDF)
+        urls = [f"{FIXTURE_HOST}/onts/{name}" for name in ONT_NAMES]
+        urls[1:1] = [unsupported[0], f"{FIXTURE_HOST}/onts/notes.ttl", unsupported[1]]
+        self.journal(tmp_path, urls)
+        report = run_indexer(tmp_path, transport)
+        assert (report.indexed, report.skipped) == (6, 1)
+        indexed = [url for url in urls if not url.endswith(".ttl")]
+        parsed = [parse_rdfxml(transport.pages[url][2], base=url) for url in indexed]
+        assert sum(report.parse_warnings.values()) == sum(len(t.warnings) for t in parsed)
+        assert report.parse_warnings == Counter(UNSUPPORTED_KINDS * 2)
+
+    def test_collector_paused_during_run_then_restored(self, tmp_path, webroot, monkeypatch):
+        seen = []
+        real_parse = indexer.parse_rdfxml
+
+        def parse(data, base):
+            seen.append(gc.isenabled())
+            return real_parse(data, base)
+
+        monkeypatch.setattr(indexer, "parse_rdfxml", parse)
+        self.journal(tmp_path, [f"{FIXTURE_HOST}/onts/{name}" for name in ONT_NAMES])
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            run_indexer(tmp_path, static_site_from(webroot))
+            assert seen == [False] * len(ONT_NAMES)
+            assert gc.isenabled()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
     def test_empty_journal_persists_empty_index(self, tmp_path, webroot):
         UrlRepository(tmp_path)  # creates an empty journal directory

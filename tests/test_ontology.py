@@ -23,6 +23,8 @@ from owse.ontology import (
     summarize_ontology,
 )
 
+from support import UNSUPPORTED_KINDS, UNSUPPORTED_RDF
+
 RDFXML_HEAD = (
     '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
     ' xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"'
@@ -131,6 +133,11 @@ class TestParse:
         )
         assert tset.warnings
         assert [str(t.object) for t in tset.triples] == ["kept"]
+
+    def test_each_warning_has_its_kind(self):
+        tset = parse_rdfxml(UNSUPPORTED_RDF, base="http://x/o")
+        assert tset.warning_kinds == UNSUPPORTED_KINDS
+        assert len(tset.warnings) == len(tset.warning_kinds)
 
     def test_unresolvable_about_skips_node_with_warning(self):
         tset = parse_rdfxml(

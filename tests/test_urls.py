@@ -63,3 +63,27 @@ def test_is_absolute_http():
 
 def test_host_of_includes_port():
     assert host_of("http://Example.org:8080/p") == "example.org:8080"
+
+
+def test_ipv6_host_keeps_its_brackets():
+    assert normalize_url("http://[::1]:8080/o.owl", "http://x/") == "http://[::1]:8080/o.owl"
+    assert normalize_url("http://[::1]/o.owl", "http://x/") == "http://[::1]/o.owl"
+    assert normalize_url("http://[::1]:80/o.owl", "http://x/") == "http://[::1]/o.owl"
+    assert normalize_url("HTTPS://[FE80::A:B]:8443/x", "http://x/") == "https://[fe80::a:b]:8443/x"
+    assert normalize_url("o.owl", "http://[::1]:8080/d/") == "http://[::1]:8080/d/o.owl"
+    assert host_of(normalize_url("http://[::1]:8080/o.owl", "http://x/")) == "[::1]:8080"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        "http://[::1]:8080/o.owl",
+        "http://[::1]/",
+        "http://user@[2001:DB8::1]:80/a/../b",
+        "https://[FE80::A]:8443/x?q#f",
+        "http://X:80/p#f",
+    ],
+)
+def test_normalization_is_idempotent(raw):
+    once = normalize_url(raw, "http://x/")
+    assert normalize_url(once, "http://x/") == once
