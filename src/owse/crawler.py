@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import heapq
 import logging
+import re
 import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
+from html import unescape
 from html.parser import HTMLParser
 from urllib.parse import urlsplit
 
@@ -112,7 +114,8 @@ def classify_resource(url: str, content_type: str, body_prefix: bytes) -> Resour
 
 
 class _LinkScanner(HTMLParser):
-    """Tolerant scan for href attributes of <a> and <link> tags."""
+    """Tolerant scan for href attributes of <a> and <link> tags and for
+    the first <base href>."""
 
     def __init__(self, base: str):
         super().__init__(convert_charrefs=True)
@@ -121,19 +124,70 @@ class _LinkScanner(HTMLParser):
         self.hrefs: list[str] = []
 
     def handle_starttag(self, tag, attrs):
-        if tag == "base" and not self.base_set:
-            href = dict(attrs).get("href")
-            if href:
-                try:
-                    self.base = normalize_url(href, self.base)
-                except OwseError:
-                    pass
-                self.base_set = True
-        elif tag in ("a", "link"):
-            for name, value in attrs:
-                if name == "href" and value is not None:
-                    self.hrefs.append(value)
-                    break
+        if tag not in ("a", "link", "base"):
+            return
+        for name, href in attrs:
+            # The first href that has a value, as browsers keep the first
+            # of duplicate attributes.
+            if name == "href" and href is not None:
+                break
+        else:
+            return
+        if tag != "base":
+            self.hrefs.append(href)
+        elif href and not self.base_set:
+            try:
+                self.base = normalize_url(href, self.base)
+            except OwseError:
+                pass
+            self.base_set = True
+
+
+# A plain HTML document: every "<" starts a <!DOCTYPE>, an end tag, or a
+# start tag of ASCII names, [ \t\n\r\f] and bare or quoted attributes,
+# and no "<" or ">" sits inside a declaration or attribute value; a
+# raw-text or RCDATA element holds no "<" up to its own end tag. Each of
+# these reads the same under every html.parser from Python 3.10 on, which
+# differ on comments, "<?", "<![", unquoted values, other whitespace and
+# which elements hold raw text. A value's "&" starts only a numeric
+# reference or "&amp;", or precedes no letter: later releases unescape
+# named references in values by the HTML5 rules, not by html.unescape.
+# Text runs sit only between tokens, so a document that is not plain
+# fails in linear time.
+_WS = r"[ \t\n\r\f]"
+_NAME = r"[a-z_:][-a-z0-9_:.]*"
+_REF = r"&(?:#|(?-i:amp;)|(?![a-z]))"
+_VALUE = rf""""[^"<>&]*(?:{_REF}[^"<>&]*)*"|'[^'<>&]*(?:{_REF}[^'<>&]*)*'"""
+_ATTRS = rf"(?:{_WS}+{_NAME}(?:=(?:{_VALUE}))?)*"
+_RAW_TEXT = "script|style|title|textarea|xmp|iframe|noembed|noframes|noscript"
+_TOKEN = (
+    r"<!doctype[^<>]*>"
+    r"|</[a-z][-a-z0-9]*>"
+    rf"|<(?!(?:{_RAW_TEXT}|plaintext)[ \t\n\r\f/>])[a-z][-a-z0-9]*{_ATTRS}{_WS}*/?>"
+    rf"|<({_RAW_TEXT}){_ATTRS}{_WS}*/?>[^<]*</\1>"
+)
+_PLAIN_HTML = re.compile(rf"[^<]*(?:(?:{_TOKEN})[^<]*)*", re.ASCII | re.IGNORECASE)
+_LINK_TAG = re.compile(rf"<(a|link|base)({_ATTRS}){_WS}*/?>", re.ASCII | re.IGNORECASE)
+_LINK_ATTR = re.compile(rf"({_NAME})(?:=({_VALUE}))?", re.ASCII | re.IGNORECASE)
+
+
+def _scan_links(text: str, base: str) -> _LinkScanner:
+    """The hrefs and effective base of an HTML document: one regex pass
+    over a plain document, the tolerant parser over any other, each
+    through the same ``handle_starttag``."""
+    scanner = _LinkScanner(base)
+    if _PLAIN_HTML.fullmatch(text):
+        for tag, attr_text in _LINK_TAG.findall(text):
+            # Names lowercased and values unescaped, as html.parser does.
+            attrs = [
+                (name.lower(), unescape(value[1:-1]) if value else None)
+                for name, value in _LINK_ATTR.findall(attr_text)
+            ]
+            scanner.handle_starttag(tag.lower(), attrs)
+    else:
+        scanner.feed(text)
+        scanner.close()
+    return scanner
 
 
 # A resolution table: normalize_url results of base-free hrefs keyed by
@@ -200,9 +254,7 @@ def extract_html_links(body: bytes, base: str, resolved: Resolutions | None = No
     ``resolved`` is a resolution table shared by the pages of one crawl;
     by default the call uses a fresh one.
     """
-    scanner = _LinkScanner(base)
-    scanner.feed(body.decode("utf-8", errors="replace"))
-    scanner.close()
+    scanner = _scan_links(body.decode("utf-8", errors="replace"), base)
     return _resolve(scanner.hrefs, scanner.base, {} if resolved is None else resolved)
 
 

@@ -52,8 +52,8 @@ def normalize_url(raw: str, base: str) -> str:
         raise Unparseable(f"no host in {absolute!r}")
 
     host = parts.hostname.lower()
-    if ":" in host:  # an IPv6 literal, which urlsplit unbracketed
-        host = f"[{host}]"
+    if parts.netloc.rpartition("@")[2].startswith("["):
+        host = f"[{host}]"  # an IP literal, which urlsplit unbracketed
     try:
         port = parts.port
     except ValueError as exc:

@@ -1,6 +1,9 @@
 import html
 import random
+import signal
+import time
 from collections import deque
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,12 @@ from owse.crawler import (
     ResourceKind,
     StopReason,
     _Crawl,
+    _PLAIN_HTML,
     _Frontier,
+    _LinkScanner,
     _is_base_free,
+    _resolve,
+    _scan_links,
     classify_resource,
     crawl,
     extract_html_links,
@@ -102,6 +109,21 @@ class TestExtractHtmlLinks:
         body = b'<a href="p?a=1&amp;b=2">x</a>'
         assert extract_html_links(body, "http://x/") == ["http://x/p?a=1&b=2"]
 
+    @pytest.mark.parametrize("plain", [True, False])
+    def test_first_href_with_a_value_wins_on_every_tag(self, plain):
+        # As browsers keep the first of duplicate attributes; a trailing
+        # comment sends the page through the tolerant parser.
+        body = (
+            b'<base href href="http://a/" href="http://b/">'
+            b'<a href="p.html" href="q.html">x</a><link href href="s.css" href="t.css">'
+        ) + (b"" if plain else b"<!-- -->")
+        assert bool(_PLAIN_HTML.fullmatch(body.decode())) is plain
+        assert extract_html_links(body, "http://x/") == ["http://a/p.html", "http://a/s.css"]
+
+    def test_empty_base_href_is_skipped(self):
+        body = b'<base href=""><base href="http://a/"><a href="p.html">x</a>'
+        assert extract_html_links(body, "http://x/") == ["http://a/p.html"]
+
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=400))
     def test_arbitrary_bytes_yield_only_absolute_http_links(self, body):
@@ -190,6 +212,123 @@ class TestResolutionTable:
     )
     def test_shared_table_equals_normalize_url(self, hrefs, pages):
         self.check_pages(hrefs, pages)
+
+
+# Pieces of a plain document, which the link scan reads in one regex pass.
+PLAIN_PIECES = [
+    "<!DOCTYPE html>", "<html>", "</html>", "<p>", "</P>", "some text ", "1 > 0 & 2 ", "&amp;", "\n",
+    '<a href="a.html">', "</a>", "<a href='b.html' title=\"t\">", '<A HREF="UP.html" Class=\'c\'>',
+    '<link rel="x" href="s.css"/>', "<a class href='c.html' href=\"dup.html\">", '<a href="">', "<a href>",
+    '<a href="?a=1&amp;b=2">', '<a href="&#47;slash&#x2F;">', "<a href='a & b&&#'>", '<a href="café \xa0">',
+    '<a\nhref="nl.html"\t>', '<base href="http://cdn/">', '<base href="http://a/" href="http://b/">',
+    "<BASE HREF='/rel/'>", "<base>", '<base href="">', "<br/>", '<img src="i.png" />', "<a/>", "<abbr>",
+    "<script>var x = 1 > 0;</script>", '<style type="text/css">p {}</style>', "<title>t</title>",
+    "<TEXTAREA>x</textarea>", "<script/></script>", "<scripts>", "</script>", "<noscript></NOSCRIPT>",
+]
+# Pieces that send a page through the tolerant parser: comments, raw text
+# holding tags, declarations and tags a regex (or some Python version's
+# html.parser) reads differently, and stray "<".
+OTHER_PIECES = [
+    "<!-- c -->", '<!-- <a href="in-comment.html"> -->', "<!--x--!>", "<!--", "<!---->",
+    '<script><a href="in-script.html"></script>', '<style><a href="in-style.html"></style>',
+    '<title><a href="in-title.html"></title>', '<textarea><a href="in-textarea.html"></textarea>',
+    "<script>", "<title>", "<!DOCTYPE <x>", "<!DOCTYPE", "<?pi>", '<![CDATA[ <a href="cdata.html"> ]]>',
+    "<a href=bare.html>", '<a href = "spaced.html">', '<a\x0bhref="vt.html">', '<a\xa0href="nbsp.html">',
+    '<a href="q.html"title="t">', " < ", "<", "</", "</ p>", "<plaintext>", '<a href="<x>">', '<a href="x>y">',
+    "<a\x00>", "<o:p>", "<a =x>", "<a href==x.html>", '<base href="http://c/"<p>',
+    '<a href="x&quot">', '<a href="?a=1&copy=2">', '<a href="&notit;">', '<a href="&AMP;">',
+]
+
+
+def tolerant_scan(text, base):
+    scanner = _LinkScanner(base)
+    scanner.feed(text)
+    scanner.close()
+    return scanner.hrefs, scanner.base
+
+
+def generated_page(base):
+    """A page in the shape of the benchmark's synthetic webs."""
+    head = f'<base href="{base}">' if base else ""
+    return (
+        f"<!DOCTYPE html>\n<html>\n<head><title>page 7</title>{head}</head>\n<body>\n"
+        '<p>owl class term <a href="/s3/p12.html">property</a></p>\n'
+        '<p>range domain <a href="http://h2.site0.test/onts/o4.owl">label</a></p>\n'
+        '<p>see also <a href="../s1/p3.html#top">comment</a></p>\n'
+        '<p>instance of <a href="mailto:webmaster@example.org">class</a></p>\n'
+        '<p>sub class <a href="http://[::1">term</a></p>\n'
+        '<link rel="stylesheet" href="/s3/p12.html">\n'
+        "</body>\n</html>\n"
+    )
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the body runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestPlainScan:
+    """The one-pass scan of plain documents gives what the tolerant
+    parser gives, and any other document goes through that parser."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(st.sampled_from(PLAIN_PIECES), max_size=12)
+        | st.lists(st.sampled_from(PLAIN_PIECES + OTHER_PIECES), max_size=12),
+        st.sampled_from(["http://x/d/p.html", "https://y/"]),
+    )
+    def test_links_equal_the_tolerant_parser(self, pieces, base):
+        text = "".join(pieces)
+        scanner = _scan_links(text, base)
+        hrefs, effective_base = tolerant_scan(text, base)
+        assert (scanner.hrefs, scanner.base) == (hrefs, effective_base)
+        assert extract_html_links(text.encode(), base) == _resolve(hrefs, effective_base, {})
+
+    @pytest.mark.parametrize("piece", PLAIN_PIECES)
+    def test_plain_pieces_take_the_fast_path(self, piece):
+        assert _PLAIN_HTML.fullmatch(f"<p>{piece}</p>")
+
+    @pytest.mark.parametrize("piece", OTHER_PIECES)
+    def test_other_pieces_take_the_tolerant_parser(self, piece):
+        assert not _PLAIN_HTML.fullmatch(f"<p>{piece}</p>")
+
+    def test_fixture_and_generated_pages_take_the_fast_path(self, webroot):
+        pages = [path.read_text() for path in sorted(webroot.rglob("*.html"))]
+        pages += [generated_page(None), generated_page("http://h1.site0.test/s2/")]
+        for text in pages:
+            assert _PLAIN_HTML.fullmatch(text)
+            scanner = _scan_links(text, "http://fixture.test/d/")
+            assert (scanner.hrefs, scanner.base) == tolerant_scan(text, "http://fixture.test/d/")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x" * (1 << 20) + "<!--",
+            "<p" + " " * 100_000,
+            "<p" + ' a="b"' * 10_000 + " <",
+            "<p>x</p>" * 50_000 + "<a",
+        ],
+        ids=["long-text", "long-tag", "many-attributes", "many-tags"],
+    )
+    def test_hostile_document_is_found_not_plain_in_linear_time(self, text):
+        # A grammar that lets text runs alternate with tokens, as in
+        # (?:[^<]+|<tag>|...)*, backtracks exponentially on these.
+        with time_limit(10):
+            started = time.monotonic()
+            assert not _PLAIN_HTML.fullmatch(text)
+            assert time.monotonic() - started < 1
+            extract_html_links(text.encode(), "http://x/")
 
 
 class TestExtractOntologyRefs:

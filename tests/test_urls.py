@@ -74,6 +74,19 @@ def test_ipv6_host_keeps_its_brackets():
     assert host_of(normalize_url("http://[::1]:8080/o.owl", "http://x/")) == "[::1]:8080"
 
 
+@pytest.mark.parametrize("raw", ["http://[v1.fe]/x", "http://u@[v1.FE]:8080/x", "http://[v7.a:b]/x"])
+def test_ipvfuture_host_keeps_its_brackets(raw):
+    # urlsplit's hostname drops the brackets; "http://v1.fe/x" would be a
+    # different, DNS host. A urlsplit that rejects the literal makes it
+    # Unparseable, which is also correct.
+    try:
+        url = normalize_url(raw, "http://b/")
+    except Unparseable:
+        return
+    assert "[v" in url
+    assert normalize_url(url, "http://b/") == url
+
+
 @pytest.mark.parametrize(
     "raw",
     [
