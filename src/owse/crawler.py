@@ -152,11 +152,12 @@ class _LinkScanner(HTMLParser):
 # which elements hold raw text. A value's "&" starts only a numeric
 # reference or "&amp;", or precedes no letter: later releases unescape
 # named references in values by the HTML5 rules, not by html.unescape.
-# Text runs sit only between tokens, so a document that is not plain
+# Text runs sit only between tokens and no two branches match the same
+# text, so a document has at most one parse, and one that is not plain
 # fails in linear time.
 _WS = r"[ \t\n\r\f]"
 _NAME = r"[a-z_:][-a-z0-9_:.]*"
-_REF = r"&(?:#|(?-i:amp;)|(?![a-z]))"
+_REF = r"&(?:#|(?-i:amp;)|(?![a-z#]))"
 _VALUE = rf""""[^"<>&]*(?:{_REF}[^"<>&]*)*"|'[^'<>&]*(?:{_REF}[^'<>&]*)*'"""
 _ATTRS = rf"(?:{_WS}+{_NAME}(?:=(?:{_VALUE}))?)*"
 _RAW_TEXT = "script|style|title|textarea|xmp|iframe|noembed|noframes|noscript"
@@ -171,12 +172,19 @@ _LINK_TAG = re.compile(rf"<(a|link|base)({_ATTRS}){_WS}*/?>", re.ASCII | re.IGNO
 _LINK_ATTR = re.compile(rf"({_NAME})(?:=({_VALUE}))?", re.ASCII | re.IGNORECASE)
 
 
+def _is_plain(text: str) -> bool:
+    """``_PLAIN_HTML.fullmatch(text)``, without its backtracking through
+    every earlier token when the document fails near its end: the parse
+    is unique, so the longest plain prefix decides."""
+    return _PLAIN_HTML.match(text).end() == len(text)
+
+
 def _scan_links(text: str, base: str) -> _LinkScanner:
     """The hrefs and effective base of an HTML document: one regex pass
     over a plain document, the tolerant parser over any other, each
     through the same ``handle_starttag``."""
     scanner = _LinkScanner(base)
-    if _PLAIN_HTML.fullmatch(text):
+    if _is_plain(text):
         for tag, attr_text in _LINK_TAG.findall(text):
             # Names lowercased and values unescaped, as html.parser does.
             attrs = [

@@ -18,6 +18,7 @@ from owse.crawler import (
     _Frontier,
     _LinkScanner,
     _is_base_free,
+    _is_plain,
     _resolve,
     _scan_links,
     classify_resource,
@@ -117,7 +118,7 @@ class TestExtractHtmlLinks:
             b'<base href href="http://a/" href="http://b/">'
             b'<a href="p.html" href="q.html">x</a><link href href="s.css" href="t.css">'
         ) + (b"" if plain else b"<!-- -->")
-        assert bool(_PLAIN_HTML.fullmatch(body.decode())) is plain
+        assert _is_plain(body.decode()) is plain
         assert extract_html_links(body, "http://x/") == ["http://a/p.html", "http://a/s.css"]
 
     def test_empty_base_href_is_skipped(self):
@@ -290,6 +291,7 @@ class TestPlainScan:
     )
     def test_links_equal_the_tolerant_parser(self, pieces, base):
         text = "".join(pieces)
+        assert _is_plain(text) is bool(_PLAIN_HTML.fullmatch(text))
         scanner = _scan_links(text, base)
         hrefs, effective_base = tolerant_scan(text, base)
         assert (scanner.hrefs, scanner.base) == (hrefs, effective_base)
@@ -297,17 +299,17 @@ class TestPlainScan:
 
     @pytest.mark.parametrize("piece", PLAIN_PIECES)
     def test_plain_pieces_take_the_fast_path(self, piece):
-        assert _PLAIN_HTML.fullmatch(f"<p>{piece}</p>")
+        assert _is_plain(f"<p>{piece}</p>")
 
     @pytest.mark.parametrize("piece", OTHER_PIECES)
     def test_other_pieces_take_the_tolerant_parser(self, piece):
-        assert not _PLAIN_HTML.fullmatch(f"<p>{piece}</p>")
+        assert not _is_plain(f"<p>{piece}</p>")
 
     def test_fixture_and_generated_pages_take_the_fast_path(self, webroot):
         pages = [path.read_text() for path in sorted(webroot.rglob("*.html"))]
         pages += [generated_page(None), generated_page("http://h1.site0.test/s2/")]
         for text in pages:
-            assert _PLAIN_HTML.fullmatch(text)
+            assert _is_plain(text)
             scanner = _scan_links(text, "http://fixture.test/d/")
             assert (scanner.hrefs, scanner.base) == tolerant_scan(text, "http://fixture.test/d/")
 
@@ -318,15 +320,21 @@ class TestPlainScan:
             "<p" + " " * 100_000,
             "<p" + ' a="b"' * 10_000 + " <",
             "<p>x</p>" * 50_000 + "<a",
+            '<p title="' + "&#" * 40 + '"<',
+            '<a href="' + "&#109;" * 40 + '">x</a><!-- -->',
+            "<p title='" + "&&amp;&#" * 40 + "'<",
         ],
-        ids=["long-text", "long-tag", "many-attributes", "many-tags"],
+        ids=["long-text", "long-tag", "many-attributes", "many-tags", "bare-refs", "numeric-refs", "mixed-refs"],
     )
     def test_hostile_document_is_found_not_plain_in_linear_time(self, text):
         # A grammar that lets text runs alternate with tokens, as in
-        # (?:[^<]+|<tag>|...)*, backtracks exponentially on these.
+        # (?:[^<]+|<tag>|...)*, or whose branches both match some text, as
+        # "#" and "(?![a-z])" both match after "&" in "&#", backtracks
+        # exponentially on these.
         with time_limit(10):
             started = time.monotonic()
             assert not _PLAIN_HTML.fullmatch(text)
+            assert not _is_plain(text)
             assert time.monotonic() - started < 1
             extract_html_links(text.encode(), "http://x/")
 
