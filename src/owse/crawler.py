@@ -427,10 +427,12 @@ class _Crawl:
             self._robots[host] = disallows
         return disallows
 
-    def _fetch_task(self, url: str, depth: int, referrer: str) -> _Outcome:
+    def _fetch_task(self, url: str, depth: int, referrer: str, host: str) -> _Outcome:
+        """Fetch ``url``, the one request in flight to ``host``, its
+        ``host_of``: politeness and robots.txt go by host[:port], whatever
+        userinfo the URL carries."""
         outcome = _Outcome(url=url, depth=depth, referrer=referrer)
         parts = urlsplit(url)
-        host = parts.netloc.lower()
         disallows = self._robots_disallows(parts.scheme, host)
         path = parts.path or "/"
         if any(path.startswith(prefix) for prefix in disallows):
@@ -548,7 +550,7 @@ class _Crawl:
                     if entry is None:
                         break
                     url, depth, referrer, host = entry
-                    future = pool.submit(self._fetch_task, url, depth, referrer)
+                    future = pool.submit(self._fetch_task, url, depth, referrer, host)
                     inflight[future] = host
                 if not inflight:
                     break

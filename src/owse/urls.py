@@ -9,11 +9,49 @@ preserved.
 
 from __future__ import annotations
 
+import re
 from urllib.parse import urljoin, urlsplit, urlunsplit
 
 from .errors import Unparseable, UnsupportedScheme
 
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
+
+# normalize_url's fast path takes a plain reference against a canonical
+# base, and gives what its urljoin/urlsplit body gives on every Python
+# 3.10-3.13, quirks included; anything else takes that body.
+#
+# A canonical base has the shape normalize_url returns: http or https, a
+# host of [a-z0-9._~-], a port of at most 5 digits (int() refuses over
+# 4300), and a path of no ";" (urlparse splits off ";params"), tab, CR or
+# LF (urlsplit deletes them). Nothing after the path is read.
+#
+# A plain reference (after strip()) is printable ASCII without ";", "\",
+# "[" or "]". Whitespace and C0 controls are out because urlsplit deletes
+# or strips them (a leading C0 run since 3.11.4), brackets because its
+# bracketed-host check differs by version. A plain reference is one of:
+#  - http(s)://host[:port], then a path, query and fragment, in any case,
+#    with a host of [A-Za-z0-9._~-] (no userinfo; no "%", after which
+#    .hostname keeps the case) and a port of at most 5 digits;
+#  - another scheme (a letter, then [A-Za-z0-9+.-] up to ":"), rejected;
+#  - a relative reference whose path is not empty, does not start with
+#    "//" and has no ":" before its first "/", "?" or "#": Python 3.10's
+#    urlsplit reads "0x.html:" as a scheme, 3.11+ as a path.
+# In _PLAIN_REF, [!-:<-Z^-~] is any plain character; [!"$-:<-Z^-~] leaves
+# out "#" (a query), [!"$-:<->@-Z^-~] also "?" (a path), and
+# [!"$-.0-9<->@-Z^-~] also "/" and ":" (a first path segment).
+_CANONICAL_BASE = re.compile(r"(https?)://([a-z0-9._~-]+)(?::([0-9]{0,5}))?(/[^?#;\t\r\n]*)(?:[?#]|\Z)")
+_PLAIN_REF = re.compile(
+    r"""(?:
+        ([Hh][Tt][Tt][Pp][Ss]?)://([A-Za-z0-9._~-]+)(?::([0-9]{0,5}))?(/[!"$-:<->@-Z^-~]*)?
+      | (?![Hh][Tt][Tt][Pp][Ss]?:)([A-Za-z][A-Za-z0-9+.-]*):[!-:<-Z^-~]*
+      | (?!//)([!"$-.0-9<->@-Z^-~]*(?:/[!"$-:<->@-Z^-~]*)?)
+    )(?:\?([!"$-:<-Z^-~]*))?(?:\#[!-:<-Z^-~]*)?\Z""",
+    re.VERBOSE,
+)
+# What precedes a URL's first "[" when that "[" opens its host, once
+# tab, CR and LF are deleted.
+_BEFORE_BRACKETED_HOST = re.compile(r"[\x00-\x20]*(?:[A-Za-z][A-Za-z0-9+.-]*:)?//[^/?#]*\Z")
+_TAB_CR_LF = re.compile(r"[\t\r\n]")
 
 
 def remove_dot_segments(path: str) -> str:
@@ -33,14 +71,76 @@ def remove_dot_segments(path: str) -> str:
     return "/".join(output)
 
 
+def _netloc(scheme: str, host: str, port: str | None) -> str | None:
+    """host[:port] as normalize_url writes it, or None for a port out of range."""
+    if not port:
+        return host
+    number = int(port)
+    if number > 65535:
+        return None
+    return host if str(number) == _DEFAULT_PORTS[scheme] else f"{host}:{number}"
+
+
+def _merge(base_path: str, ref_path: str) -> str:
+    """urljoin's resolution of a non-empty reference path against a base
+    path that starts with "/", and the "/" urlunsplit puts after a host."""
+    if ref_path[0] == "/":
+        segments = ref_path.split("/")
+    else:
+        segments = base_path.split("/")
+        segments[-1:] = ref_path.split("/")
+        segments[1:-1] = filter(None, segments[1:-1])
+    resolved: list[str] = []
+    for segment in segments:
+        if segment == "..":
+            if resolved:
+                resolved.pop()
+        elif segment != ".":
+            resolved.append(segment)
+    if segments[-1] in (".", ".."):
+        resolved.append("")
+    path = "/".join(resolved)
+    return path if path[:1] == "/" else "/" + path
+
+
+def _lower_ipvfuture(url: str) -> str:
+    """``url`` with the "v" of an IPvFuture host lowercased. RFC 3986 makes
+    it case-insensitive; urlsplit (3.11+) accepts only "v"."""
+    head, bracket, rest = url.partition("[")
+    if rest.lstrip("\t\r\n")[:1] == "V" and _BEFORE_BRACKETED_HOST.match(_TAB_CR_LF.sub("", head)):
+        return head + bracket + rest.replace("V", "v", 1)
+    return url
+
+
 def normalize_url(raw: str, base: str) -> str:
     """Resolve ``raw`` against ``base`` and return its canonical form.
 
     Raises UnsupportedScheme for anything but http/https and Unparseable
     for strings the URL grammar rejects.
     """
+    ref = raw.strip()
+    base_match = _CANONICAL_BASE.match(base)
+    ref_match = base_match and _PLAIN_REF.match(ref)
+    if ref_match:
+        scheme, host, port, path, other_scheme, relative, query = ref_match.groups()
+        if other_scheme:
+            raise UnsupportedScheme(f"unsupported scheme in {ref!r}")
+        netloc = None
+        if scheme:
+            scheme = scheme.lower()
+            netloc = _netloc(scheme, host.lower(), port)
+        elif relative:  # an empty path would take the base's query
+            scheme, host, port, base_path = base_match.groups()
+            netloc = _netloc(scheme, host, port)
+            path = _merge(base_path, relative)
+        if netloc is not None:
+            if path and "/." in path:  # a path without "/." has no dot segment
+                path = remove_dot_segments(path)
+            path = path or "/"
+            return f"{scheme}://{netloc}{path}?{query}" if query else f"{scheme}://{netloc}{path}"
+
     try:
-        absolute = urljoin(base, raw.strip())
+        absolute = urljoin(_lower_ipvfuture(base), _lower_ipvfuture(ref))
         parts = urlsplit(absolute)
     except ValueError as exc:
         raise Unparseable(f"cannot parse URL {raw!r}: {exc}") from exc
@@ -82,5 +182,5 @@ def is_absolute_http(url: str) -> bool:
 
 
 def host_of(url: str) -> str:
-    """Lowercased authority (host[:port]) of an absolute URL."""
-    return urlsplit(url).netloc.lower()
+    """Lowercased host[:port] of an absolute URL, without userinfo."""
+    return urlsplit(url).netloc.rpartition("@")[2].lower()

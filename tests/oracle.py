@@ -4,6 +4,9 @@ Recomputes term frequencies and document frequencies directly from
 ontology summaries and evaluates the ranking formula from first
 principles. The field weights and the tokenizer are restated literally
 here so a weight or tokenizer regression in the engine cannot hide.
+
+Also holds ``normalize_url`` as urljoin/urlsplit alone compute it, the
+reference for the fast path in owse.urls.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from urllib.parse import urljoin, urlsplit, urlunsplit
 
+from owse.errors import Unparseable, UnsupportedScheme
 from owse.ontology import OntologySummary
 
 WEIGHTS = {
@@ -83,3 +88,54 @@ def brute_force_search(
             scored.append((summary.source_url, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:top_k], len(scored)
+
+
+def remove_dot_segments(path: str) -> str:
+    output: list[str] = []
+    for segment in path.split("/"):
+        if segment == ".":
+            continue
+        if segment == "..":
+            if len(output) > 1:
+                output.pop()
+            continue
+        output.append(segment)
+    if path.endswith(("/.", "/..")) and (not output or output[-1] != ""):
+        output.append("")
+    return "/".join(output)
+
+
+def normalize_url(raw: str, base: str) -> str:
+    """Canonical form of ``raw`` resolved against ``base``, by urljoin and
+    urlsplit alone (owse.urls.normalize_url before its fast path)."""
+    try:
+        absolute = urljoin(base, raw.strip())
+        parts = urlsplit(absolute)
+    except ValueError as exc:
+        raise Unparseable(f"cannot parse URL {raw!r}: {exc}") from exc
+
+    scheme = parts.scheme.lower()
+    if scheme not in ("http", "https"):
+        raise UnsupportedScheme(f"unsupported scheme in {absolute!r}")
+    if not parts.hostname:
+        raise Unparseable(f"no host in {absolute!r}")
+
+    host = parts.hostname.lower()
+    if parts.netloc.rpartition("@")[2].startswith("["):
+        host = f"[{host}]"
+    try:
+        port = parts.port
+    except ValueError as exc:
+        raise Unparseable(f"bad port in {absolute!r}") from exc
+
+    netloc = host
+    if port is not None and str(port) != {"http": "80", "https": "443"}[scheme]:
+        netloc = f"{host}:{port}"
+    if parts.username:
+        userinfo = parts.username
+        if parts.password:
+            userinfo += f":{parts.password}"
+        netloc = f"{userinfo}@{netloc}"
+
+    path = remove_dot_segments(parts.path) or "/"
+    return urlunsplit((scheme, netloc, path, parts.query, ""))

@@ -2,7 +2,7 @@ import html
 import random
 import signal
 import time
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 
 import pytest
@@ -462,6 +462,28 @@ def reference_bfs(seeds, links, max_depth):
     return order
 
 
+class SlowStaticTransport(StaticTransport):
+    """StaticTransport whose fetches take 20 ms, counting the most requests
+    in flight to one host (userinfo left out)."""
+
+    def __init__(self, pages):
+        super().__init__(pages)
+        self.most_in_flight = 0
+        self._in_flight: Counter = Counter()
+
+    def get(self, url):
+        host = url.split("/")[2].rpartition("@")[2]
+        with self._lock:
+            self._in_flight[host] += 1
+            self.most_in_flight = max(self.most_in_flight, self._in_flight[host])
+        try:
+            time.sleep(0.02)
+            return super().get(url)
+        finally:
+            with self._lock:
+                self._in_flight[host] -= 1
+
+
 def run_crawl(transport, tmp_path, **overrides):
     defaults = dict(
         seeds=[f"{FIXTURE_HOST}/index.html"],
@@ -733,6 +755,29 @@ class TestCrawl:
             by_host.setdefault(url.split("/")[2], []).append(started)
         for starts in by_host.values():
             assert all(b - a >= 0.020 for a, b in zip(starts, starts[1:]))
+
+    def test_host_with_userinfo_shares_politeness_and_robots(self, tmp_path):
+        # "u@h.test" and "h.test" are one host: one robots.txt, one request
+        # in flight, and its Disallow rules hold for both spellings.
+        transport = SlowStaticTransport(
+            {
+                "http://h.test/index.html": (
+                    200,
+                    "text/html",
+                    b'<a href="http://u@h.test/a.html"><a href="http://h.test/b.html"><a href="c.html">',
+                ),
+                "http://h.test/robots.txt": (200, "text/plain", b"User-agent: *\nDisallow: /a.html\n"),
+                "http://u@h.test/a.html": (200, "text/html", b"<p>private</p>"),
+                "http://h.test/b.html": (200, "text/html", b"<p>b</p>"),
+                "http://h.test/c.html": (200, "text/html", b"<p>c</p>"),
+            }
+        )
+        report, _, _ = run_crawl(transport, tmp_path, seeds=["http://h.test/index.html"], workers=2)
+        assert [u for u in transport.requested_urls() if u.endswith("/robots.txt")] == ["http://h.test/robots.txt"]
+        assert "http://u@h.test/a.html" not in transport.requested_urls()
+        assert report.errors == [("http://u@h.test/a.html", "robots-disallowed")]
+        assert transport.most_in_flight == 1
+        assert report.pages_fetched == 3
 
     def test_ipv6_link_fetched_with_brackets(self, tmp_path):
         transport = StaticTransport(
