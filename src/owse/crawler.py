@@ -8,8 +8,8 @@ consume the page budget, successfully stored ontologies consume the
 ontology budget, and the crawl stops the moment either runs out.
 
 Per-host politeness: request starts to the same host are separated by at
-least the configured interval, and /robots.txt (user-agent *, Disallow
-prefixes) is honored before the first fetch on each host.
+least the configured interval. /robots.txt (user-agent *, Disallow
+prefixes) is honored before the first fetch on each scheme and host.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from urllib.parse import urlsplit
 
 from .errors import ConfigError, FetchError, NotRdf, OwseError, XmlNotWellFormed
 from .ontology import OWL_IMPORTS, RDFS_SEEALSO, Iri, TripleSet, parse_rdfxml
-from .storage import OntologyRepository, UrlRecord, UrlRepository, utc_now
+from .storage import OntologyRepository, UrlRecord, UrlRepository
 from .transport import FetchResponse, Transport
 from .urls import host_of, normalize_url
 
@@ -198,72 +198,25 @@ def _scan_links(text: str, base: str) -> _LinkScanner:
     return scanner
 
 
-# A resolution table: normalize_url results of base-free hrefs keyed by
-# (base scheme, href), None for an href that does not normalize.
-Resolutions = dict[tuple[str, str], str | None]
-_UNRESOLVED = object()
-
-
-def _is_base_free(href: str) -> bool:
-    """True when ``href`` (stripped) is ``http(s)://`` with a non-empty
-    authority and no tab, CR or LF, which urlsplit deletes: its
-    normalization then depends on the base's scheme alone, because
-    urljoin re-serializes it (dropping an empty ``;params``) only when the
-    schemes match."""
-    if href.startswith("http://"):
-        first = href[7:8]
-    elif href.startswith("https://"):
-        first = href[8:9]
-    else:
-        return False
-    return first not in ("", "/", "?", "#") and "\t" not in href and "\r" not in href and "\n" not in href
-
-
-def _resolve(hrefs: list[str], base: str, resolved: Resolutions) -> list[str]:
-    """``normalize_url(href, base)`` of each href that normalizes, in
-    order, each distinct href normalized once per call.
-
-    A base-free href is also keyed by (base scheme, href) in ``resolved``,
-    shared by the pages of a crawl, so it is normalized once per table.
-    Any other href is keyed in a table local to the call: keyed by its
-    base, it would almost never hit again. A base that urlsplit rejects
-    fails every href (urljoin parses the base first); all its hrefs stay
-    local.
-    """
-    try:
-        scheme = urlsplit(base).scheme
-    except ValueError:
-        scheme = None
-    local: dict[str, str | None] = {}
+def _resolve(hrefs: list[str], base: str) -> list[str]:
+    """``normalize_url(href, base)`` of each href that normalizes, in order."""
     links = []
     for href in hrefs:
-        href = href.strip()  # as normalize_url does
-        if scheme is not None and _is_base_free(href):
-            table, key = resolved, (scheme, href)
-        else:
-            table, key = local, href
-        link = table.get(key, _UNRESOLVED)
-        if link is _UNRESOLVED:
-            try:
-                link = normalize_url(href, base)
-            except OwseError:
-                link = None
-            table[key] = link
-        if link is not None:
-            links.append(link)
+        try:
+            links.append(normalize_url(href, base))
+        except OwseError:
+            pass
     return links
 
 
-def extract_html_links(body: bytes, base: str, resolved: Resolutions | None = None) -> list[str]:
+def extract_html_links(body: bytes, base: str) -> list[str]:
     """Normalized link targets of an HTML document, in document order.
 
     Honors the first in-document <base href>. Unparseable and non-http
     targets are dropped; duplicates are preserved (the frontier dedups).
-    ``resolved`` is a resolution table shared by the pages of one crawl;
-    by default the call uses a fresh one.
     """
     scanner = _scan_links(body.decode("utf-8", errors="replace"), base)
-    return _resolve(scanner.hrefs, scanner.base, {} if resolved is None else resolved)
+    return _resolve(scanner.hrefs, scanner.base)
 
 
 def extract_ontology_refs(triples: TripleSet) -> list[str]:
@@ -390,10 +343,9 @@ class _Crawl:
         self.gate = _PolitenessGate(config.politeness_ms)
         self.frontier = _Frontier()
         self.visited: set[str] = set()
-        self.resolved: Resolutions = {}
         self.report = CrawlReport()
         self.stop: StopReason | None = None
-        self._robots: dict[str, list[str]] = {}
+        self._robots: dict[tuple[str, str], list[str]] = {}  # (scheme, host) -> disallows
         self._robots_lock = threading.Lock()
 
     # -- frontier ----------------------------------------------------
@@ -407,9 +359,11 @@ class _Crawl:
     # -- per-task fetch path (runs in worker threads) ----------------
 
     def _robots_disallows(self, scheme: str, host: str) -> list[str]:
+        # A robots.txt holds for its scheme and authority (RFC 9309).
+        key = scheme, host
         with self._robots_lock:
-            if host in self._robots:
-                return self._robots[host]
+            if key in self._robots:
+                return self._robots[key]
         # Not cached: fetch. Only one worker can be on this host, so no
         # other thread can be fetching the same robots file concurrently.
         disallows: list[str] = []
@@ -424,13 +378,13 @@ class _Crawl:
         except FetchError:
             self.gate.note_start(host, started)
         with self._robots_lock:
-            self._robots[host] = disallows
+            self._robots[key] = disallows
         return disallows
 
     def _fetch_task(self, url: str, depth: int, referrer: str, host: str) -> _Outcome:
         """Fetch ``url``, the one request in flight to ``host``, its
-        ``host_of``: politeness and robots.txt go by host[:port], whatever
-        userinfo the URL carries."""
+        ``host_of``: politeness goes by host[:port] and robots.txt by scheme
+        and host[:port], whatever userinfo the URL carries."""
         outcome = _Outcome(url=url, depth=depth, referrer=referrer)
         parts = urlsplit(url)
         disallows = self._robots_disallows(parts.scheme, host)
@@ -458,9 +412,9 @@ class _Crawl:
         # without a blob, which run_indexer refetches.
         record = UrlRecord(url=canonical_url, referrer=outcome.referrer, depth=outcome.depth)
         if self.url_repo.append(record):
-            blob = self.ontology_repo.put(response.body, source_url=canonical_url, fetched_at=utc_now())
+            blob_id = self.ontology_repo.put(response.body, source_url=canonical_url)
             self.report.ontologies_found += 1
-            log.info("ontology %s stored as %s", canonical_url, blob.id[:12])
+            log.info("ontology %s stored as %s", canonical_url, blob_id[:12])
         else:
             # Journaled already, earlier in this run (a redirect alias) or by
             # an earlier run: a fetch that stores nothing. Its references are
@@ -473,7 +427,7 @@ class _Crawl:
             except (XmlNotWellFormed, NotRdf) as exc:
                 log.warning("%s: cannot scan for ontology references (%s)", canonical_url, exc)
                 return
-            for ref in _resolve(extract_ontology_refs(triples), canonical_url, self.resolved):
+            for ref in _resolve(extract_ontology_refs(triples), canonical_url):
                 self.enqueue(ref, outcome.depth + 1, canonical_url)
 
     def _process(self, outcome: _Outcome) -> None:
@@ -515,7 +469,7 @@ class _Crawl:
         else:
             self.report.pages_fetched += 1
             if kind is ResourceKind.HTML and outcome.depth < self.config.max_depth:
-                for link in extract_html_links(response.body, canonical_url, self.resolved):
+                for link in extract_html_links(response.body, canonical_url):
                     self.enqueue(link, outcome.depth + 1, canonical_url)
         self._check_budgets()
 

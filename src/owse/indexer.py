@@ -335,7 +335,7 @@ def run_indexer(data_dir: str | Path, transport: Transport) -> IndexReport:
                 report.warnings.append((record.url, "oversize"))
                 continue
             data = response.body
-            blob_id = ontology_repo.put(data, source_url=record.url).id
+            blob_id = ontology_repo.put(data, source_url=record.url)
 
         try:
             triples = parse_rdfxml(data, base=record.url)

@@ -3,7 +3,7 @@
 Parses the common RDF/XML shape used by published OWL ontologies into
 triples, then summarizes the schema-level elements: classes, properties,
 the relations between them (subClassOf, subPropertyOf, domain, range),
-labels, comments, and imports.
+labels and comments.
 
 Supported RDF/XML subset: an rdf:RDF root; node elements that are either
 rdf:Description or typed nodes (element name = type IRI); subjects from
@@ -364,13 +364,12 @@ class OntologySummary:
     classes: list[OntologyElement] = field(default_factory=list)
     properties: list[OntologyElement] = field(default_factory=list)
     relations: list[tuple[str, RelationKind, str]] = field(default_factory=list)
-    imports: list[str] = field(default_factory=list)
 
 
 def summarize_ontology(
     triples: TripleSet, source_url: str, blob_id: str, size_bytes: int
 ) -> OntologySummary:
-    """Extract classes, properties, relations, labels, comments, imports.
+    """Extract classes, properties, relations, labels and comments.
 
     Untyped elements are inferred from relational position: subjects and
     objects of subClassOf and objects of domain/range are classes;
@@ -382,7 +381,6 @@ def summarize_ontology(
     labels: dict[str, list[str]] = {}
     comments: dict[str, list[str]] = {}
     relations: list[tuple[str, RelationKind, str]] = []
-    imports: list[str] = []
     ontology_iri = ""
 
     def note_class(node: str) -> None:
@@ -423,9 +421,6 @@ def summarize_ontology(
             labels.setdefault(subject, []).append(str(obj))
         elif predicate == RDFS_COMMENT and isinstance(obj, Literal):
             comments.setdefault(subject, []).append(str(obj))
-        elif predicate == OWL_IMPORTS and isinstance(obj, Iri):
-            if str(obj) not in imports:
-                imports.append(str(obj))
 
     def build(iri: str, kind: ElementKind) -> OntologyElement:
         return OntologyElement(
@@ -450,5 +445,4 @@ def summarize_ontology(
         classes=classes,
         properties=properties,
         relations=relations,
-        imports=imports,
     )

@@ -146,17 +146,6 @@ class UrlRepository:
         return len(self._seen_urls())
 
 
-@dataclass(frozen=True)
-class OntologyBlob:
-    """A stored ontology document, addressed by the SHA-256 of its bytes."""
-
-    id: str
-    bytes: bytes
-    source_url: str
-    fetched_at: str
-    size_bytes: int
-
-
 class OntologyRepository:
     """Content-addressed store for raw ontology documents."""
 
@@ -169,8 +158,9 @@ class OntologyRepository:
     def _object_path(self, blob_id: str) -> Path:
         return self.objects_dir / f"{blob_id}.rdf"
 
-    def put(self, data: bytes, source_url: str, fetched_at: str | None = None) -> OntologyBlob:
-        """Store ``data`` and record its provenance in the manifest.
+    def put(self, data: bytes, source_url: str) -> str:
+        """Store ``data``, record its provenance in the manifest, and
+        return its blob id, the SHA-256 of its bytes.
 
         Idempotent on identical bytes: the object file is written once per
         digest, while every call appends a manifest line.
@@ -183,26 +173,14 @@ class OntologyRepository:
             tmp = path.with_suffix(".tmp")
             tmp.write_bytes(data)
             os.replace(tmp, path)
-        blob = OntologyBlob(
-            id=blob_id,
-            bytes=data,
-            source_url=source_url,
-            fetched_at=fetched_at or utc_now(),
-            size_bytes=len(data),
-        )
         line = json.dumps(
-            {
-                "id": blob.id,
-                "source_url": blob.source_url,
-                "fetched_at": blob.fetched_at,
-                "size": blob.size_bytes,
-            },
+            {"id": blob_id, "source_url": source_url, "fetched_at": utc_now(), "size": len(data)},
             ensure_ascii=False,
         )
         with open(self.manifest_path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
             handle.flush()
-        return blob
+        return blob_id
 
     def get(self, blob_id: str) -> bytes:
         """Stored bytes for ``blob_id``, re-verified against the digest."""

@@ -168,7 +168,6 @@ def summary_as_dict(summary: OntologySummary) -> dict:
         "classes": [element(e) for e in summary.classes],
         "properties": [element(e) for e in summary.properties],
         "relations": [[s, kind.value, o] for s, kind, o in summary.relations],
-        "imports": list(summary.imports),
     }
 
 

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -54,3 +55,26 @@ def _loaded_after(statement: str) -> set[str]:
 @pytest.mark.parametrize("statement", ["import owse.cli", "from owse import search, load_index"])
 def test_query_path_imports_no_crawl_modules(statement):
     assert _loaded_after(statement) == set()
+
+
+def _unused_imports(path) -> list[str]:
+    """Names ``path`` imports but never reads: a name is read where it
+    appears as an ``ast.Name``, which includes the root of an attribute
+    chain such as ``os.path.join``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(REPO_ROOT)}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted((REPO_ROOT / "src" / "owse").glob("*.py")) + sorted((REPO_ROOT / "tests").glob("*.py"))
+    assert [unused for path in paths for unused in _unused_imports(path)] == []

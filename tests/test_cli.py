@@ -1,6 +1,5 @@
 import hashlib
 import http.client
-import json
 import os
 import statistics
 import subprocess
@@ -199,7 +198,7 @@ class TestStaleTmpFiles:
 
         url = "http://fixture.test/onts/library.rdf"
         UrlRepository(tmp_path).append(UrlRecord(url=url))
-        assert repo.put(data, source_url=url).id == blob_id
+        assert repo.put(data, source_url=url) == blob_id
         assert repo.get(blob_id) == data
         assert repo.count() == 1
 

@@ -13,13 +13,10 @@ from owse.crawler import (
     CrawlConfig,
     ResourceKind,
     StopReason,
-    _Crawl,
     _PLAIN_HTML,
     _Frontier,
     _LinkScanner,
-    _is_base_free,
     _is_plain,
-    _resolve,
     _scan_links,
     classify_resource,
     crawl,
@@ -134,17 +131,15 @@ class TestExtractHtmlLinks:
     def test_empty_params_of_absolute_href_depend_on_base_scheme(self):
         # urljoin drops an empty ";params" only when href and base share a
         # scheme ("http://h/x" against an http base, "http://h/x;" against
-        # an https one), so a table shared by an http and an https page
-        # must not key an absolute href by the href alone.
-        resolved = {}
+        # an https one), so even an absolute href resolves per base.
         body = b'<a href="http://h/x;">x</a>'
         for base in ("http://b/", "https://b/", "http://c/"):
-            assert extract_html_links(body, base, resolved) == [normalize_url("http://h/x;", base)]
+            assert extract_html_links(body, base) == [normalize_url("http://h/x;", base)]
 
 
-# Hrefs whose normalization depends on the base in ways a resolution key
-# can get wrong: empty params, empty or whitespace-only authorities,
-# characters urlsplit deletes, bad brackets and ports, other schemes.
+# Hrefs whose normalization depends on the base in subtle ways: empty
+# params, empty or whitespace-only authorities, characters urlsplit
+# deletes, bad brackets and ports, other schemes.
 HREFS = [
     "http://h/x;", "https://h/x;", "http:///x", "https:///x", "http://", "http:// ",
     "http://\t/x", "http://\n/x", "http://\r/x", "https://\r\n", "http://h\n/x", "http://h/\tx",
@@ -157,9 +152,8 @@ HREF_PIECES = [
     "http:", "https:", "HTTP:", "//", "/", "h", "H", ":80", ":443", ";", "..", ".",
     "?", "#", "@", "[", "]", "::1", " ", "\t", "\n", "\r", "x", "\u00e9",
 ]
-# Same-scheme bases on different hosts and paths, so that a key which
-# leaves out what a result depends on returns another page's result; a
-# base urlsplit rejects, and one without a scheme.
+# Same-scheme bases on different hosts and paths, a base urlsplit
+# rejects, and one without a scheme.
 BASES = [
     "http://b/", "http://c/d/p.html", "http://b/d/p;q?r", "https://b/", "https://c:8443/d/",
     "http://[::1", "d/p",
@@ -167,11 +161,16 @@ BASES = [
 BASE_TAGS = [None, "http://cdn/", "https://cdn/s/", "/other/", "http://[::1", "mailto:x", "http:///x"]
 
 
-def normalized_or_none(href, base):
-    try:
-        return normalize_url(href, base)
-    except OwseError:
-        return None
+def normalized_each(hrefs, base):
+    """The links extract_html_links should give: normalize_url per href,
+    those that do not normalize dropped."""
+    links = []
+    for href in hrefs:
+        try:
+            links.append(normalize_url(href, base))
+        except OwseError:
+            pass
+    return links
 
 
 def effective_base(base, base_tag):
@@ -183,22 +182,19 @@ def effective_base(base, base_tag):
     return base
 
 
-class TestResolutionTable:
-    """extract_html_links through one shared table equals normalize_url
-    per href, on every page that shares it."""
+class TestHrefResolution:
+    """extract_html_links equals normalize_url per href against the
+    page's effective base."""
 
     def check_pages(self, hrefs, pages):
         # Every page links the same hrefs, so each is resolved against
-        # every base and base tag, through one table.
-        resolved = {}
+        # every base and base tag.
         links = "".join(f'<a href="{html.escape(h)}">x</a>' for h in hrefs)
         for base, base_tag in pages:
             head = f'<base href="{html.escape(base_tag)}">' if base_tag else ""
             body = (head + links).encode()
-            page_base = effective_base(base, base_tag)
-            expected = [link for h in hrefs if (link := normalized_or_none(h, page_base)) is not None]
-            assert extract_html_links(body, base, resolved) == expected, (base, base_tag)
-            assert extract_html_links(body, base) == expected
+            expected = normalized_each(hrefs, effective_base(base, base_tag))
+            assert extract_html_links(body, base) == expected, (base, base_tag)
 
     def test_listed_hrefs_on_every_base(self):
         self.check_pages(HREFS, [(base, tag) for base in BASES for tag in BASE_TAGS])
@@ -211,7 +207,7 @@ class TestResolutionTable:
         ),
         st.lists(st.tuples(st.sampled_from(BASES), st.sampled_from(BASE_TAGS)), max_size=6),
     )
-    def test_shared_table_equals_normalize_url(self, hrefs, pages):
+    def test_links_equal_normalize_url(self, hrefs, pages):
         self.check_pages(hrefs, pages)
 
 
@@ -295,7 +291,7 @@ class TestPlainScan:
         scanner = _scan_links(text, base)
         hrefs, effective_base = tolerant_scan(text, base)
         assert (scanner.hrefs, scanner.base) == (hrefs, effective_base)
-        assert extract_html_links(text.encode(), base) == _resolve(hrefs, effective_base, {})
+        assert extract_html_links(text.encode(), base) == normalized_each(hrefs, effective_base)
 
     @pytest.mark.parametrize("piece", PLAIN_PIECES)
     def test_plain_pieces_take_the_fast_path(self, piece):
@@ -779,6 +775,25 @@ class TestCrawl:
         assert transport.most_in_flight == 1
         assert report.pages_fetched == 3
 
+    def test_robots_txt_is_scoped_by_scheme(self, tmp_path):
+        # A robots.txt holds for its scheme and authority (RFC 9309): the
+        # http rules do not stand in for https ones on the same host, which
+        # still shares one politeness slot.
+        transport = SlowStaticTransport(
+            {
+                "http://h.test/index.html": (200, "text/html", b'<a href="https://h.test/secret.html">'),
+                "http://h.test/robots.txt": (200, "text/plain", b"User-agent: *\nDisallow: /private/\n"),
+                "https://h.test/robots.txt": (200, "text/plain", b"User-agent: *\nDisallow: /secret.html\n"),
+                "https://h.test/secret.html": (200, "text/html", b"<p>secret</p>"),
+            }
+        )
+        report, _, _ = run_crawl(transport, tmp_path, seeds=["http://h.test/index.html"], workers=2)
+        robots = [u for u in transport.requested_urls() if u.endswith("/robots.txt")]
+        assert sorted(robots) == ["http://h.test/robots.txt", "https://h.test/robots.txt"]
+        assert "https://h.test/secret.html" not in transport.requested_urls()
+        assert report.errors == [("https://h.test/secret.html", "robots-disallowed")]
+        assert transport.most_in_flight == 1
+
     def test_ipv6_link_fetched_with_brackets(self, tmp_path):
         transport = StaticTransport(
             {"http://h.test/index.html": (200, "text/html", b'<a href="http://[::1]:8080/o.owl">')}
@@ -789,18 +804,6 @@ class TestCrawl:
             "http://[::1]:8080/o.owl",
         ]
         assert ("http://[::1]:8080/o.owl", "http-404") in report.errors
-
-    def test_resolution_table_keeps_only_base_free_keys(self, tmp_path, webroot):
-        config = CrawlConfig(
-            seeds=[f"{FIXTURE_HOST}/index.html"],
-            politeness_ms=0,
-            follow_ontology_links=True,
-            workers=1,
-        )
-        run = _Crawl(config, static_site_from(webroot), UrlRepository(tmp_path), OntologyRepository(tmp_path))
-        run.run()
-        assert run.resolved
-        assert all(scheme in ("http", "https") and _is_base_free(href) for scheme, href in run.resolved)
 
     def test_invalid_config_rejected(self, tmp_path, webroot):
         transport = static_site_from(webroot)

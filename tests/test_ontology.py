@@ -437,7 +437,6 @@ class TestSummarize:
         )
         summary = summarize(tset)
         assert summary.ontology_iri == "http://x/o"
-        assert summary.imports == ["http://x/other.rdf"]
 
     def test_library_fixture_counts(self, webroot):
         data = (webroot / "onts" / "library.rdf").read_bytes()

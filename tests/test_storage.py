@@ -108,16 +108,19 @@ class TestUrlRepository:
 class TestOntologyRepository:
     def test_round_trip(self, tmp_path):
         repo = OntologyRepository(tmp_path)
-        blob = repo.put(b"<rdf/>", source_url="http://a/x.owl")
-        assert repo.get(blob.id) == b"<rdf/>"
-        assert blob.size_bytes == 6
-        assert blob.id == hashlib.sha256(b"<rdf/>").hexdigest()
+        blob_id = repo.put(b"<rdf/>", source_url="http://a/x.owl")
+        assert blob_id == hashlib.sha256(b"<rdf/>").hexdigest()
+        assert repo.get(blob_id) == b"<rdf/>"
+        [entry] = repo.manifest()
+        assert entry["id"] == blob_id
+        assert entry["source_url"] == "http://a/x.owl"
+        assert entry["size"] == 6
 
     def test_put_is_idempotent_on_content(self, tmp_path):
         repo = OntologyRepository(tmp_path)
         first = repo.put(b"same bytes", source_url="http://a/1.owl")
         second = repo.put(b"same bytes", source_url="http://b/2.owl")
-        assert first.id == second.id
+        assert first == second
         assert repo.count() == 1
         assert len(repo.manifest()) == 2
 
@@ -131,16 +134,16 @@ class TestOntologyRepository:
 
     def test_tampered_object_detected(self, tmp_path):
         repo = OntologyRepository(tmp_path)
-        blob = repo.put(b"original", source_url="http://a/x.owl")
-        (repo.objects_dir / f"{blob.id}.rdf").write_bytes(b"tampered")
+        blob_id = repo.put(b"original", source_url="http://a/x.owl")
+        (repo.objects_dir / f"{blob_id}.rdf").write_bytes(b"tampered")
         with pytest.raises(CorruptObject):
-            repo.get(blob.id)
+            repo.get(blob_id)
 
     def test_url_map_keeps_latest(self, tmp_path):
         repo = OntologyRepository(tmp_path)
         repo.put(b"v1", source_url="http://a/x.owl")
         newer = repo.put(b"v2", source_url="http://a/x.owl")
-        assert repo.url_map()["http://a/x.owl"] == newer.id
+        assert repo.url_map()["http://a/x.owl"] == newer
 
 
 def small_index():
