@@ -96,11 +96,12 @@ class CrawlReport:
     elapsed_ms: int = 0
 
 
-def classify_resource(url: str, content_type: str, body_prefix: bytes) -> ResourceKind:
-    """Classify a fetched resource; the ontology test wins over the HTML test."""
+def classify_resource(url: str, content_type: str, body: bytes) -> ResourceKind:
+    """Classify a fetched resource by its URL, media type and first
+    SNIFF_WINDOW body bytes; the ontology test wins over the HTML test."""
     path = urlsplit(url).path.lower()
     media_type = content_type.split(";", 1)[0].strip().lower()
-    window = body_prefix[:SNIFF_WINDOW]
+    window = body[:SNIFF_WINDOW]
     if (
         path.endswith(ONTOLOGY_EXTENSIONS)
         or media_type in ONTOLOGY_CONTENT_TYPES
@@ -255,28 +256,6 @@ def parse_robots(text: str) -> list[str]:
     return disallows
 
 
-class _PolitenessGate:
-    """Spaces request starts to the same host by a minimum interval."""
-
-    def __init__(self, interval_ms: int):
-        self.interval = interval_ms / 1000.0
-        self._next_allowed: dict[str, float] = {}
-        self._lock = threading.Lock()
-
-    def wait_turn(self, host: str) -> None:
-        # Per-host requests are serialized by the dispatcher, so reading
-        # and later updating the slot cannot race for one host.
-        with self._lock:
-            allowed_at = self._next_allowed.get(host, 0.0)
-        delay = allowed_at - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-
-    def note_start(self, host: str, started_at: float) -> None:
-        with self._lock:
-            self._next_allowed[host] = started_at + self.interval
-
-
 class _Frontier:
     """Per-host FIFO queues of (seq, url, depth, referrer) plus a heap of
     (seq, host) queue heads, where seq is the enqueue order (Mercator's
@@ -319,15 +298,6 @@ class _Frontier:
         return entry
 
 
-@dataclass
-class _Outcome:
-    url: str
-    depth: int
-    referrer: str
-    response: FetchResponse | None = None
-    error_kind: str | None = None  # fetch failure or robots skip
-
-
 class _Crawl:
     def __init__(
         self,
@@ -340,13 +310,13 @@ class _Crawl:
         self.transport = transport
         self.url_repo = url_repo
         self.ontology_repo = ontology_repo
-        self.gate = _PolitenessGate(config.politeness_ms)
         self.frontier = _Frontier()
         self.visited: set[str] = set()
         self.report = CrawlReport()
         self.stop: StopReason | None = None
+        self._next_start: dict[str, float] = {}  # host -> earliest next request start
         self._robots: dict[tuple[str, str], list[str]] = {}  # (scheme, host) -> disallows
-        self._robots_lock = threading.Lock()
+        self._lock = threading.Lock()  # guards both per-host dicts
 
     # -- frontier ----------------------------------------------------
 
@@ -358,61 +328,67 @@ class _Crawl:
 
     # -- per-task fetch path (runs in worker threads) ----------------
 
+    def _get(self, url: str, host: str) -> FetchResponse:
+        """GET ``url`` once ``host``'s politeness interval has passed since
+        its last request start. A request that raises still counts as a
+        start, taken just before the call."""
+        # Per-host requests are serialized by the dispatcher, so reading
+        # and later updating the slot cannot race for one host.
+        with self._lock:
+            delay = self._next_start.get(host, 0.0) - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+        started = time.monotonic()
+        try:
+            response = self.transport.get(url)
+            started = response.started_at
+            return response
+        finally:
+            with self._lock:
+                self._next_start[host] = started + self.config.politeness_ms / 1000.0
+
     def _robots_disallows(self, scheme: str, host: str) -> list[str]:
         # A robots.txt holds for its scheme and authority (RFC 9309).
         key = scheme, host
-        with self._robots_lock:
+        with self._lock:
             if key in self._robots:
                 return self._robots[key]
         # Not cached: fetch. Only one worker can be on this host, so no
         # other thread can be fetching the same robots file concurrently.
         disallows: list[str] = []
-        robots_url = f"{scheme}://{host}/robots.txt"
-        self.gate.wait_turn(host)
-        started = time.monotonic()
         try:
-            response = self.transport.get(robots_url)
-            self.gate.note_start(host, response.started_at)
+            response = self._get(f"{scheme}://{host}/robots.txt", host)
             if 200 <= response.status < 300:
                 disallows = parse_robots(response.body.decode("utf-8", errors="replace"))
         except FetchError:
-            self.gate.note_start(host, started)
-        with self._robots_lock:
+            pass
+        with self._lock:
             self._robots[key] = disallows
         return disallows
 
-    def _fetch_task(self, url: str, depth: int, referrer: str, host: str) -> _Outcome:
-        """Fetch ``url``, the one request in flight to ``host``, its
-        ``host_of``: politeness goes by host[:port] and robots.txt by scheme
-        and host[:port], whatever userinfo the URL carries."""
-        outcome = _Outcome(url=url, depth=depth, referrer=referrer)
+    def _fetch_task(self, url: str, host: str) -> FetchResponse | str:
+        """The response to ``url``, the one request in flight to ``host``,
+        its ``host_of``, or the kind of error that stopped the fetch:
+        politeness goes by host[:port] and robots.txt by scheme and
+        host[:port], whatever userinfo the URL carries."""
         parts = urlsplit(url)
         disallows = self._robots_disallows(parts.scheme, host)
         path = parts.path or "/"
         if any(path.startswith(prefix) for prefix in disallows):
             log.info("robots.txt disallows %s; skipping", url)
-            outcome.error_kind = "robots-disallowed"
-            return outcome
-        self.gate.wait_turn(host)
-        started = time.monotonic()
+            return "robots-disallowed"
         try:
-            outcome.response = self.transport.get(url)
-            self.gate.note_start(host, outcome.response.started_at)
+            return self._get(url, host)
         except FetchError as exc:
-            self.gate.note_start(host, started)
-            outcome.error_kind = exc.kind
-        return outcome
+            return exc.kind
 
     # -- completion handling (runs on the dispatcher thread) ---------
 
-    def _handle_ontology(self, outcome: _Outcome, canonical_url: str) -> None:
-        response = outcome.response
-        assert response is not None
+    def _handle_ontology(self, body: bytes, canonical_url: str, depth: int, referrer: str) -> None:
         # Journal first: a crash before the put leaves a journaled URL
         # without a blob, which run_indexer refetches.
-        record = UrlRecord(url=canonical_url, referrer=outcome.referrer, depth=outcome.depth)
-        if self.url_repo.append(record):
-            blob_id = self.ontology_repo.put(response.body, source_url=canonical_url)
+        if self.url_repo.append(UrlRecord(url=canonical_url, referrer=referrer, depth=depth)):
+            blob_id = self.ontology_repo.put(body, source_url=canonical_url)
             self.report.ontologies_found += 1
             log.info("ontology %s stored as %s", canonical_url, blob_id[:12])
         else:
@@ -421,56 +397,45 @@ class _Crawl:
             # still scanned at this depth: the earlier fetch may have been
             # deeper (workers fetch out of BFS order), or its run stopped.
             self.report.pages_fetched += 1
-        if self.config.follow_ontology_links and outcome.depth < self.config.max_depth:
+        if self.config.follow_ontology_links and depth < self.config.max_depth:
             try:
-                triples = parse_rdfxml(response.body, base=canonical_url)
+                triples = parse_rdfxml(body, base=canonical_url)
             except (XmlNotWellFormed, NotRdf) as exc:
                 log.warning("%s: cannot scan for ontology references (%s)", canonical_url, exc)
                 return
             for ref in _resolve(extract_ontology_refs(triples), canonical_url):
-                self.enqueue(ref, outcome.depth + 1, canonical_url)
+                self.enqueue(ref, depth + 1, canonical_url)
 
-    def _process(self, outcome: _Outcome) -> None:
-        if outcome.error_kind is not None:
-            if outcome.error_kind == "robots-disallowed":
-                self.report.errors.append((outcome.url, outcome.error_kind))
-                return  # no fetch happened: no budget consumed
-            self.report.pages_fetched += 1
-            self.report.errors.append((outcome.url, outcome.error_kind))
-            self._check_budgets()
-            return
-
-        response = outcome.response
-        assert response is not None
+    def _handle_response(self, url: str, depth: int, referrer: str, response: FetchResponse) -> str | None:
+        """Store or scan a response; return the kind of error it is, or None."""
         try:
-            canonical_url = normalize_url(response.url, outcome.url)
+            canonical_url = normalize_url(response.url, url)
         except OwseError:
-            canonical_url = outcome.url
+            canonical_url = url
         self.visited.add(canonical_url)
-
         if not 200 <= response.status < 300:
-            self.report.pages_fetched += 1
-            self.report.errors.append((outcome.url, f"http-{response.status}"))
-            self._check_budgets()
-            return
+            return f"http-{response.status}"
         if response.truncated:
-            self.report.pages_fetched += 1
-            self.report.errors.append((outcome.url, "oversize"))
-            self._check_budgets()
-            return
-
-        kind = classify_resource(canonical_url, response.content_type, response.body[:SNIFF_WINDOW])
+            return "oversize"
+        kind = classify_resource(canonical_url, response.content_type, response.body)
         if kind is ResourceKind.ONTOLOGY:
             if not response.body:
-                self.report.pages_fetched += 1
-                self.report.errors.append((outcome.url, "empty-document"))
-            else:
-                self._handle_ontology(outcome, canonical_url)
+                return "empty-document"
+            self._handle_ontology(response.body, canonical_url, depth, referrer)
         else:
             self.report.pages_fetched += 1
-            if kind is ResourceKind.HTML and outcome.depth < self.config.max_depth:
+            if kind is ResourceKind.HTML and depth < self.config.max_depth:
                 for link in extract_html_links(response.body, canonical_url):
-                    self.enqueue(link, outcome.depth + 1, canonical_url)
+                    self.enqueue(link, depth + 1, canonical_url)
+        return None
+
+    def _process(self, url: str, depth: int, referrer: str, result: FetchResponse | str) -> None:
+        """Account for one dispatched URL, given its response or error kind."""
+        error = result if isinstance(result, str) else self._handle_response(url, depth, referrer, result)
+        if error is not None:
+            self.report.errors.append((url, error))
+            if error != "robots-disallowed":  # a skip makes no request
+                self.report.pages_fetched += 1
         self._check_budgets()
 
     def _check_budgets(self) -> None:
@@ -496,22 +461,22 @@ class _Crawl:
             self.enqueue(normalize_url(seed, seed), 0, "")
 
         with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
-            inflight: dict[Future, str] = {}  # future -> host
+            inflight: dict[Future, tuple[str, int, str, str]] = {}  # future -> (url, depth, referrer, host)
             while self.stop is None:
                 while len(inflight) < self.config.workers and self._budget_room(len(inflight)):
-                    busy = set(inflight.values())
+                    busy = {host for _, _, _, host in inflight.values()}
                     entry = self.frontier.pop_dispatchable(busy)
                     if entry is None:
                         break
-                    url, depth, referrer, host = entry
-                    future = pool.submit(self._fetch_task, url, depth, referrer, host)
-                    inflight[future] = host
+                    url, _, _, host = entry
+                    future = pool.submit(self._fetch_task, url, host)
+                    inflight[future] = entry
                 if not inflight:
                     break
                 done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                 for future in done:
-                    del inflight[future]
-                    self._process(future.result())
+                    url, depth, referrer, _ = inflight.pop(future)
+                    self._process(url, depth, referrer, future.result())
 
         if self.stop is None:
             self.stop = StopReason.FRONTIER_EXHAUSTED

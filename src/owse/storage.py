@@ -66,10 +66,14 @@ class UrlRecord:
     @classmethod
     def from_json(cls, line: str) -> "UrlRecord":
         data = json.loads(line)
+        if not (
+            isinstance(data, dict) and isinstance(data.get("url"), str) and isinstance(data.get("depth"), int)
+        ):
+            raise ValueError("not an object with a string url and an integer depth")
         return cls(
             url=data["url"],
             referrer=data.get("referrer", ""),
-            depth=int(data["depth"]),
+            depth=data["depth"],
             discovered_at=data["discovered_at"],
             kind=data.get("kind", "Ontology"),
         )
@@ -110,7 +114,12 @@ class UrlRepository:
 
     def _seen_urls(self) -> set[str]:
         if self._seen is None:
-            self._seen = {self._canonical(r.url) for r in self.scan()}
+            self._seen = set()
+            for record in self.scan():
+                try:
+                    self._seen.add(self._canonical(record.url))
+                except OwseError:
+                    pass  # equals no canonical URL, so it cannot dedup an append
         return self._seen
 
     def append(self, record: UrlRecord) -> bool:
@@ -198,7 +207,10 @@ class OntologyRepository:
         entries = []
         for lineno, line in _read_journal_lines(self.manifest_path):
             try:
-                entries.append(json.loads(line))
+                entry = json.loads(line)
+                if not isinstance(entry, dict):
+                    raise ValueError("not an object")
+                entries.append(entry)
             except ValueError as exc:
                 log.warning(
                     "%s line %d: malformed manifest entry skipped (%s)",
@@ -210,7 +222,11 @@ class OntologyRepository:
 
     def url_map(self) -> dict[str, str]:
         """Latest blob id recorded for each source URL."""
-        return {e["source_url"]: e["id"] for e in self.manifest() if "source_url" in e and "id" in e}
+        return {
+            e["source_url"]: e["id"]
+            for e in self.manifest()
+            if isinstance(e.get("source_url"), str) and isinstance(e.get("id"), str)
+        }
 
     def count(self) -> int:
         return sum(1 for _ in self.objects_dir.glob("*.rdf"))

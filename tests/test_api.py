@@ -78,3 +78,28 @@ def _unused_imports(path) -> list[str]:
 def test_no_module_imports_a_name_it_never_uses():
     paths = sorted((REPO_ROOT / "src" / "owse").glob("*.py")) + sorted((REPO_ROOT / "tests").glob("*.py"))
     assert [unused for path in paths for unused in _unused_imports(path)] == []
+
+
+def _unreferenced_private_names(path) -> list[str]:
+    """Private names that ``path`` binds at module level, by ``def``,
+    ``class`` or assignment, and never reads anywhere in the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    bound[target.id] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [
+        f"{path.relative_to(REPO_ROOT)}:{line}: {name}"
+        for name, line in bound.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_no_module_binds_a_private_name_it_never_reads():
+    paths = sorted((REPO_ROOT / "src" / "owse").glob("*.py"))
+    assert [unread for path in paths for unread in _unreferenced_private_names(path)] == []

@@ -1,5 +1,6 @@
 import hashlib
 import http.client
+import json
 import os
 import statistics
 import subprocess
@@ -71,6 +72,26 @@ class TestQueryAndStats:
         out = capsys.readouterr().out
         assert out.splitlines() == [
             "urls: 0", "blobs: 0", "docs: 0", "terms: 0", "postings: 0",
+        ]
+
+    def test_journal_lines_that_are_not_records_are_skipped(self, tmp_path, capsys):
+        url = "http://fixture.test/onts/library.rdf"
+        OntologyRepository(tmp_path).put((WEBROOT / "onts" / "library.rdf").read_bytes(), source_url=url)
+        UrlRepository(tmp_path).append(UrlRecord(url=url))
+        lines = [
+            "123",
+            '["url"]',
+            json.dumps({"url": url, "depth": None, "discovered_at": "t"}),
+            json.dumps({"url": "urn:x:y", "depth": 0, "discovered_at": "t"}),
+        ]
+        with open(tmp_path / "urls.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        assert run_cli("stats", "--data-dir", str(tmp_path)) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "urls: 1"
+        assert run_cli("index", "--data-dir", str(tmp_path)) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "indexed: 1 skipped: 1",
+            "  skipped urn:x:y: fetch failed: connection",
         ]
 
     def test_stats_corrupt_index_exits_1(self, tmp_path, capsys):

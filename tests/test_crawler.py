@@ -590,6 +590,17 @@ class TestCrawl:
         # a.html's subtree (a1, a2, library, deep1, pizza) is unreachable
         assert report.ontologies_found == 1
 
+    def test_empty_ontology_is_an_error_that_stores_nothing(self, tmp_path):
+        index, empty = "http://h.test/index.html", "http://h.test/empty.owl"
+        transport = StaticTransport(
+            {index: (200, "text/html", b'<a href="empty.owl">'), empty: (200, "application/rdf+xml", b"")}
+        )
+        report, url_repo, ontology_repo = run_crawl(transport, tmp_path, seeds=[index])
+        assert empty in transport.requested_urls()
+        assert report.errors == [(empty, "empty-document")]
+        assert (report.pages_fetched, report.ontologies_found) == (2, 0)
+        assert (url_repo.scan(), ontology_repo.manifest(), ontology_repo.count()) == ([], [], 0)
+
     def test_robots_disallow_skips_url(self, tmp_path, webroot):
         transport = static_site_from(webroot)
         report, _, _ = run_crawl(transport, tmp_path)
@@ -705,6 +716,18 @@ class TestCrawl:
         starts = [t for _, t in transport.log]
         gaps = [b - a for a, b in zip(starts, starts[1:])]
         assert all(gap >= 0.050 for gap in gaps)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_failed_requests_still_space_later_starts(self, tmp_path, webroot, workers):
+        transport = static_site_from(webroot)
+        robots, page = f"{FIXTURE_HOST}/robots.txt", f"{FIXTURE_HOST}/a.html"
+        transport.failures |= {robots, page}
+        report, _, _ = run_crawl(transport, tmp_path, politeness_ms=50, max_pages=4, workers=workers)
+        assert transport.requested_urls()[0] == robots
+        assert (page, "connection") in report.errors
+        starts = sorted(t for _, t in transport.log)
+        assert len(starts) == 5
+        assert all(b - a >= 0.050 for a, b in zip(starts, starts[1:]))
 
     def test_workers_parallel_run_respects_invariants(self, tmp_path, webroot):
         transport = static_site_from(webroot)

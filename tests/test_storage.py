@@ -98,6 +98,37 @@ class TestUrlRepository:
         assert [r.url for r in records] == ["http://a/1.owl", "http://a/2.owl"]
         assert any("line 2" in message for message in caplog.messages)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "123",
+            '["http://a/x.owl"]',
+            '"http://a/x.owl"',
+            '{"url": 5, "depth": 1, "discovered_at": "t"}',
+            '{"url": "http://a/x.owl", "depth": null, "discovered_at": "t"}',
+            '{"url": "http://a/x.owl", "depth": "1", "discovered_at": "t"}',
+        ],
+    )
+    def test_line_that_is_not_a_record_is_skipped_with_warning(self, tmp_path, caplog, line):
+        UrlRepository(tmp_path).append(record("http://a/1.owl"))
+        with open(tmp_path / "urls.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        repo = UrlRepository(tmp_path)
+        with caplog.at_level("WARNING"):
+            assert repo.append(record("http://a/2.owl")) is True
+        assert [r.url for r in repo.scan()] == ["http://a/1.owl", "http://a/2.owl"]
+        assert len(repo) == 2
+        assert any("line 2: malformed record skipped" in message for message in caplog.messages)
+
+    def test_journaled_url_that_does_not_canonicalize_is_not_counted(self, tmp_path):
+        UrlRepository(tmp_path).append(record("http://a/1.owl"))
+        with open(tmp_path / "urls.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"url": "urn:x:y", "depth": 0, "discovered_at": "t"}\n')
+        repo = UrlRepository(tmp_path)
+        assert [r.url for r in repo.scan()] == ["http://a/1.owl", "urn:x:y"]
+        assert len(repo) == 1
+        assert repo.append(record("http://a/1.owl")) is False
+
     def test_journal_fields(self, tmp_path):
         UrlRepository(tmp_path).append(record("http://a/x.owl"))
         line = json.loads((tmp_path / "urls.jsonl").read_text())
@@ -144,6 +175,29 @@ class TestOntologyRepository:
         repo.put(b"v1", source_url="http://a/x.owl")
         newer = repo.put(b"v2", source_url="http://a/x.owl")
         assert repo.url_map()["http://a/x.owl"] == newer
+
+    @pytest.mark.parametrize("line", ["123", '"source_url id"', '["source_url", "id"]', "null"])
+    def test_manifest_entry_that_is_not_an_object_is_skipped(self, tmp_path, caplog, line):
+        repo = OntologyRepository(tmp_path)
+        first = repo.put(b"v1", source_url="http://a/1.owl")
+        with open(repo.manifest_path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        second = repo.put(b"v2", source_url="http://a/2.owl")
+        with caplog.at_level("WARNING"):
+            assert [e["id"] for e in repo.manifest()] == [first, second]
+        assert any("line 2: malformed manifest entry skipped" in message for message in caplog.messages)
+        assert repo.url_map() == {"http://a/1.owl": first, "http://a/2.owl": second}
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"id": "ab"}, {"source_url": ["http://a/x.owl"], "id": "ab"}, {"source_url": "http://a/x.owl", "id": 5}],
+    )
+    def test_url_map_skips_entries_without_a_string_url_and_id(self, tmp_path, entry):
+        repo = OntologyRepository(tmp_path)
+        first = repo.put(b"v1", source_url="http://a/1.owl")
+        with open(repo.manifest_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(entry) + "\n")
+        assert repo.url_map() == {"http://a/1.owl": first}
 
 
 def small_index():
