@@ -313,7 +313,6 @@ class _Crawl:
         self.frontier = _Frontier()
         self.visited: set[str] = set()
         self.report = CrawlReport()
-        self.stop: StopReason | None = None
         self._next_start: dict[str, float] = {}  # host -> earliest next request start
         self._robots: dict[tuple[str, str], list[str]] = {}  # (scheme, host) -> disallows
         self._lock = threading.Lock()  # guards both per-host dicts
@@ -436,24 +435,21 @@ class _Crawl:
             self.report.errors.append((url, error))
             if error != "robots-disallowed":  # a skip makes no request
                 self.report.pages_fetched += 1
-        self._check_budgets()
-
-    def _check_budgets(self) -> None:
-        if self.stop is None:
-            if self.report.ontologies_found >= self.config.max_ontologies:
-                self.stop = StopReason.ONTOLOGY_BUDGET
-            elif self.report.pages_fetched >= self.config.max_pages:
-                self.stop = StopReason.PAGE_BUDGET
 
     # -- dispatcher ---------------------------------------------------
 
-    def _budget_room(self, inflight: int) -> bool:
-        # Any in-flight fetch could land on either counter, so dispatch
-        # only while the worst case keeps both within budget.
-        return (
-            self.report.pages_fetched + inflight < self.config.max_pages
-            and self.report.ontologies_found + inflight < self.config.max_ontologies
-        )
+    def _budget_reached(self, inflight: int) -> StopReason | None:
+        """The budget that ``inflight`` more results could reach, or None.
+
+        Each result adds at most one to one counter, and a dispatch needs
+        this to be None, so a budget is reached only with nothing in
+        flight, and at most one is reached when the crawl ends.
+        """
+        if self.report.ontologies_found + inflight >= self.config.max_ontologies:
+            return StopReason.ONTOLOGY_BUDGET
+        if self.report.pages_fetched + inflight >= self.config.max_pages:
+            return StopReason.PAGE_BUDGET
+        return None
 
     def run(self) -> CrawlReport:
         start = time.monotonic()
@@ -462,8 +458,8 @@ class _Crawl:
 
         with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
             inflight: dict[Future, tuple[str, int, str, str]] = {}  # future -> (url, depth, referrer, host)
-            while self.stop is None:
-                while len(inflight) < self.config.workers and self._budget_room(len(inflight)):
+            while True:
+                while len(inflight) < self.config.workers and self._budget_reached(len(inflight)) is None:
                     busy = {host for _, _, _, host in inflight.values()}
                     entry = self.frontier.pop_dispatchable(busy)
                     if entry is None:
@@ -478,9 +474,7 @@ class _Crawl:
                     url, depth, referrer, _ = inflight.pop(future)
                     self._process(url, depth, referrer, future.result())
 
-        if self.stop is None:
-            self.stop = StopReason.FRONTIER_EXHAUSTED
-        self.report.stop_reason = self.stop
+        self.report.stop_reason = self._budget_reached(0) or StopReason.FRONTIER_EXHAUSTED
         self.report.elapsed_ms = int((time.monotonic() - start) * 1000)
         return self.report
 

@@ -287,9 +287,12 @@ class IndexReport:
     parser warnings by kind (see ``TripleSet``)."""
 
     indexed: int = 0
-    skipped: int = 0
     warnings: list[tuple[str, str]] = field(default_factory=list)
     parse_warnings: Counter[str] = field(default_factory=Counter)
+
+    @property
+    def skipped(self) -> int:
+        return len(self.warnings)
 
 
 @_collector_paused()
@@ -323,15 +326,12 @@ def run_indexer(data_dir: str | Path, transport: Transport) -> IndexReport:
             try:
                 response = transport.get(record.url)
             except FetchError as exc:
-                report.skipped += 1
                 report.warnings.append((record.url, f"fetch failed: {exc.kind}"))
                 continue
             if not 200 <= response.status < 300 or not response.body:
-                report.skipped += 1
                 report.warnings.append((record.url, f"http status {response.status}"))
                 continue
             if response.truncated:
-                report.skipped += 1
                 report.warnings.append((record.url, "oversize"))
                 continue
             data = response.body
@@ -340,7 +340,6 @@ def run_indexer(data_dir: str | Path, transport: Transport) -> IndexReport:
         try:
             triples = parse_rdfxml(data, base=record.url)
         except (XmlNotWellFormed, NotRdf) as exc:
-            report.skipped += 1
             report.warnings.append((record.url, f"{type(exc).__name__}: {exc}"))
             continue
         summaries.append(summarize_ontology(triples, record.url, blob_id, len(data)))

@@ -45,11 +45,19 @@ class UrlRecord:
     discovered_at: str = field(default_factory=utc_now)
     kind: str = "Ontology"
 
+    def _check_fields(self) -> None:
+        """Raise InvalidRecord unless each field has the type ``to_json``
+        writes for it and the depth is 0 or more; any url string passes."""
+        strings = self.url, self.referrer, self.discovered_at, self.kind
+        if not all(isinstance(value, str) for value in strings):
+            raise InvalidRecord("url, referrer, discovered_at and kind must be strings")
+        if type(self.depth) is not int or self.depth < 0:
+            raise InvalidRecord(f"depth is not an integer of 0 or more: {self.depth!r}")
+
     def validate(self) -> None:
+        self._check_fields()
         if not is_absolute_http(self.url):
             raise InvalidRecord(f"url is not an absolute http/https IRI: {self.url!r}")
-        if self.depth < 0:
-            raise InvalidRecord(f"negative depth: {self.depth}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -65,18 +73,21 @@ class UrlRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "UrlRecord":
+        """The record on a journal line. Raise ValueError unless it is a
+        JSON object, and InvalidRecord unless its fields pass the checks
+        ``append`` makes, except that any url string is read back."""
         data = json.loads(line)
-        if not (
-            isinstance(data, dict) and isinstance(data.get("url"), str) and isinstance(data.get("depth"), int)
-        ):
-            raise ValueError("not an object with a string url and an integer depth")
-        return cls(
-            url=data["url"],
+        if not isinstance(data, dict):
+            raise ValueError("not an object")
+        record = cls(
+            url=data.get("url"),
             referrer=data.get("referrer", ""),
-            depth=data["depth"],
-            discovered_at=data["discovered_at"],
+            depth=data.get("depth"),
+            discovered_at=data.get("discovered_at"),
             kind=data.get("kind", "Ontology"),
         )
+        record._check_fields()
+        return record
 
 
 def _read_journal_lines(path: Path) -> list[tuple[int, str]]:
@@ -108,16 +119,12 @@ class UrlRepository:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._seen: set[str] | None = None  # read from the journal on first use
 
-    @staticmethod
-    def _canonical(url: str) -> str:
-        return normalize_url(url, url)
-
     def _seen_urls(self) -> set[str]:
         if self._seen is None:
             self._seen = set()
             for record in self.scan():
                 try:
-                    self._seen.add(self._canonical(record.url))
+                    self._seen.add(normalize_url(record.url, record.url))
                 except OwseError:
                     pass  # equals no canonical URL, so it cannot dedup an append
         return self._seen
@@ -129,7 +136,7 @@ class UrlRepository:
         """
         record.validate()
         try:
-            canonical = self._canonical(record.url)
+            canonical = normalize_url(record.url, record.url)
         except OwseError as exc:
             raise InvalidRecord(f"cannot canonicalize {record.url!r}: {exc}") from exc
         seen = self._seen_urls()
@@ -147,7 +154,7 @@ class UrlRepository:
         for lineno, line in _read_journal_lines(self.path):
             try:
                 records.append(UrlRecord.from_json(line))
-            except (ValueError, KeyError) as exc:
+            except (ValueError, InvalidRecord) as exc:
                 log.warning("%s line %d: malformed record skipped (%s)", self.path, lineno, exc)
         return records
 
@@ -171,17 +178,16 @@ class OntologyRepository:
         """Store ``data``, record its provenance in the manifest, and
         return its blob id, the SHA-256 of its bytes.
 
-        Idempotent on identical bytes: the object file is written once per
-        digest, while every call appends a manifest line.
+        Idempotent on identical bytes: every call rewrites the object file,
+        which repairs a corrupt copy, and appends a manifest line.
         """
         if not data:
             raise EmptyDocument(f"refusing to store empty document from {source_url}")
         blob_id = hashlib.sha256(data).hexdigest()
         path = self._object_path(blob_id)
-        if not path.exists():
-            tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+        tmp = path.with_suffix(".tmp")
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
         line = json.dumps(
             {"id": blob_id, "source_url": source_url, "fetched_at": utc_now(), "size": len(data)},
             ensure_ascii=False,

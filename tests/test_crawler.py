@@ -1,6 +1,7 @@
 import html
 import random
 import signal
+import tempfile
 import time
 from collections import Counter, deque
 from contextlib import contextmanager
@@ -840,3 +841,77 @@ class TestCrawl:
         ):
             with pytest.raises(ConfigError):
                 run_crawl(transport, tmp_path, **overrides)
+
+
+def accounting_site(rng):
+    """A four-host web for budget accounting, and its two seeds. Links
+    reach pages, ontologies (some importing others), redirect aliases of
+    either, URLs that 404, answer 500 or fail in transport, an empty
+    ontology, and pages under a robots.txt ``Disallow``."""
+    hosts = [f"http://h{i}.test" for i in range(4)]
+    pages = [f"{rng.choice(hosts)}/p{i}.html" for i in range(16)]
+    private = [f"{hosts[0]}/private/q{i}.html" for i in range(2)]
+    ontologies = [f"{rng.choice(hosts)}/o{i}.owl" for i in range(8)]
+    aliases = [f"{rng.choice(hosts)}/alias{i}" for i in range(4)]
+    missing = [f"{rng.choice(hosts)}/gone{i}.html" for i in range(3)]
+    broken, empty = f"{rng.choice(hosts)}/broken.html", f"{rng.choice(hosts)}/empty.owl"
+    targets = pages + private + ontologies + aliases + missing + [broken, empty]
+    site = {
+        page: (200, "text/html", "".join(f'<a href="{t}">' for t in rng.sample(targets, 4)).encode())
+        for page in pages + private
+    }
+    for ontology in ontologies:
+        imports = "".join(f'<owl:imports rdf:resource="{t}"/>' for t in rng.sample(ontologies + aliases, 2))
+        site[ontology] = (
+            200,
+            "application/rdf+xml",
+            (
+                '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+                ' xmlns:owl="http://www.w3.org/2002/07/owl#">'
+                f'<owl:Ontology rdf:about="">{imports}</owl:Ontology></rdf:RDF>'
+            ).encode(),
+        )
+    site[broken] = (500, "text/html", b"error")
+    site[empty] = (200, "application/rdf+xml", b"")
+    site[f"{hosts[0]}/robots.txt"] = (200, "text/plain", b"User-agent: *\nDisallow: /private/\n")
+    transport = StaticTransport(site)
+    transport.redirects = {alias: rng.choice(pages + ontologies) for alias in aliases}
+    transport.failures = set(rng.sample(pages[2:] + ontologies, 3))
+    return transport, pages[:2]
+
+
+class TestCrawlAccounting:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        site_seed=st.integers(0, 2**32 - 1),
+        max_pages=st.integers(1, 30),
+        max_ontologies=st.integers(1, 10),
+        workers=st.sampled_from([1, 4]),
+        follow=st.booleans(),
+    )
+    def test_each_request_counts_once_and_the_stop_reason_is_the_budget_reached(
+        self, site_seed, max_pages, max_ontologies, workers, follow
+    ):
+        transport, seeds = accounting_site(random.Random(site_seed))
+        with tempfile.TemporaryDirectory() as data_dir:
+            report, _, _ = run_crawl(
+                transport,
+                data_dir,
+                seeds=seeds,
+                max_pages=max_pages,
+                max_ontologies=max_ontologies,
+                workers=workers,
+                follow_ontology_links=follow,
+            )
+        requests = [url for url in transport.requested_urls() if not url.endswith("/robots.txt")]
+        assert not any("/private/" in url for url in requests)
+        assert len(requests) == report.pages_fetched + report.ontologies_found
+        assert report.pages_fetched <= max_pages
+        assert report.ontologies_found <= max_ontologies
+        if report.ontologies_found == max_ontologies:
+            expected = StopReason.ONTOLOGY_BUDGET
+        elif report.pages_fetched == max_pages:
+            expected = StopReason.PAGE_BUDGET
+        else:
+            expected = StopReason.FRONTIER_EXHAUSTED
+        assert report.stop_reason is expected

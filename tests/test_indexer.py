@@ -337,6 +337,22 @@ class TestRunIndexer:
         assert report.indexed == 1
         assert transport.requested_urls() == []
 
+    def test_tampered_blob_is_refetched_once(self, tmp_path, webroot):
+        from owse.storage import OntologyRepository
+
+        transport = static_site_from(webroot)
+        url = f"{FIXTURE_HOST}/onts/library.rdf"
+        data = (webroot / "onts" / "library.rdf").read_bytes()
+        repo = OntologyRepository(tmp_path)
+        blob_id = repo.put(data, source_url=url)
+        (repo.objects_dir / f"{blob_id}.rdf").write_bytes(b"tampered")
+        self.journal(tmp_path, [url])
+        assert run_indexer(tmp_path, transport).indexed == 1
+        assert transport.requested_urls() == [url]
+        assert run_indexer(tmp_path, transport).indexed == 1
+        assert transport.requested_urls() == [url]
+        assert repo.get(blob_id) == data
+
     def test_truncated_refetch_skipped_as_oversize(self, tmp_path, webroot):
         from owse.storage import OntologyRepository
 

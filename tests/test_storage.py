@@ -63,6 +63,16 @@ class TestUrlRepository:
         with pytest.raises(InvalidRecord):
             repo.append(record("x.owl"))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(depth=True), dict(depth=-1), dict(referrer=["http://a/"]), dict(discovered_at=5), dict(kind=None)],
+    )
+    def test_record_the_reader_would_skip_is_rejected(self, tmp_path, fields):
+        repo = UrlRepository(tmp_path)
+        with pytest.raises(InvalidRecord):
+            repo.append(UrlRecord(url="http://a/x.owl", **fields))
+        assert not (tmp_path / "urls.jsonl").exists()
+
     def test_scan_preserves_append_order(self, tmp_path):
         repo = UrlRepository(tmp_path)
         a, b = record("http://a/1.owl"), record("http://a/2.owl", depth=2)
@@ -107,6 +117,12 @@ class TestUrlRepository:
             '{"url": 5, "depth": 1, "discovered_at": "t"}',
             '{"url": "http://a/x.owl", "depth": null, "discovered_at": "t"}',
             '{"url": "http://a/x.owl", "depth": "1", "discovered_at": "t"}',
+            '{"url": "http://a/x.owl", "depth": true, "discovered_at": "t"}',
+            '{"url": "http://a/x.owl", "depth": -3, "discovered_at": "t"}',
+            '{"url": "http://a/x.owl", "referrer": ["r"], "depth": 1, "discovered_at": "t"}',
+            '{"url": "http://a/x.owl", "depth": 1, "discovered_at": 5}',
+            '{"url": "http://a/x.owl", "depth": 1}',
+            '{"url": "http://a/x.owl", "depth": 1, "discovered_at": "t", "kind": null}',
         ],
     )
     def test_line_that_is_not_a_record_is_skipped_with_warning(self, tmp_path, caplog, line):
@@ -169,6 +185,13 @@ class TestOntologyRepository:
         (repo.objects_dir / f"{blob_id}.rdf").write_bytes(b"tampered")
         with pytest.raises(CorruptObject):
             repo.get(blob_id)
+
+    def test_put_over_a_tampered_object_repairs_it(self, tmp_path):
+        repo = OntologyRepository(tmp_path)
+        blob_id = repo.put(b"original", source_url="http://a/x.owl")
+        (repo.objects_dir / f"{blob_id}.rdf").write_bytes(b"tampered")
+        assert repo.put(b"original", source_url="http://a/x.owl") == blob_id
+        assert repo.get(blob_id) == b"original"
 
     def test_url_map_keeps_latest(self, tmp_path):
         repo = OntologyRepository(tmp_path)
