@@ -204,9 +204,20 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     os.replace(tmp, path)
 
 
+def _doc_entry(row: dict) -> DocEntry:
+    """The entry of a doc-table row; TypeError unless its id and url are
+    strings and its counts integers of 0 or more, as ``save_index`` writes."""
+    counts = row["size_bytes"], row["classes"], row["properties"], row["relations"]
+    strings = row["id"], row["url"]
+    if not all(s.__class__ is str for s in strings) or not all(c.__class__ is int and c >= 0 for c in counts):
+        raise TypeError(f"doc_table row {row!r} is not one save_index writes")
+    return DocEntry(*strings, *counts)
+
+
 @_collector_paused()
 def load_index(path: str | Path) -> InvertedIndex:
-    """Read an index file, validating version and structural invariants."""
+    """Read an index file, validating version and structural invariants:
+    it refuses any value ``save_index`` does not write."""
     path = Path(path)
     if not path.exists():
         raise NotFound(f"index not found: {path}")
@@ -222,29 +233,19 @@ def load_index(path: str | Path) -> InvertedIndex:
         raise VersionMismatch(f"{path}: unknown index version {version!r}")
 
     try:
-        doc_table = [
-            DocEntry(
-                blob_id=row["id"],
-                url=row["url"],
-                size_bytes=int(row["size_bytes"]),
-                class_count=int(row["classes"]),
-                property_count=int(row["properties"]),
-                relation_count=int(row["relations"]),
-            )
-            for row in payload["doc_table"]
-        ]
+        doc_table = [_doc_entry(row) for row in payload["doc_table"]]
         raw_postings = payload["postings"]
         totals = payload["totals"]["docs"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CorruptIndex(f"{path}: malformed structure ({exc})") from exc
 
     n_docs = len(doc_table)
-    if totals != n_docs:
-        raise CorruptIndex(f"{path}: totals.docs={totals} but doc_table has {n_docs}")
+    if totals.__class__ is not int or totals != n_docs:
+        raise CorruptIndex(f"{path}: totals.docs={totals!r} but doc_table has {n_docs}")
     if not isinstance(raw_postings, dict):
         raise CorruptIndex(f"{path}: postings is not a JSON object")
 
-    # One pass: each row is unpacked, typed and range-checked, and its
+    # One pass: each row is unpacked, type- and range-checked, and its
     # (doc, field rank) key must rise strictly from the previous row's.
     field_by_name = {kind.value: kind for kind in FieldKind}
     new_posting = tuple.__new__
@@ -260,11 +261,9 @@ def load_index(path: str | Path) -> InvertedIndex:
             try:
                 doc, field_name, tf = row
                 kind = field_by_name[field_name]
-                if doc.__class__ is not int:
-                    doc = int(doc)
-                if tf.__class__ is not int:
-                    tf = int(tf)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                if doc.__class__ is not int or tf.__class__ is not int:
+                    raise TypeError("doc and tf must be integers")
+            except (KeyError, TypeError, ValueError) as exc:
                 raise CorruptIndex(f"{path}: bad posting {row!r} for {term!r}") from exc
             if not 0 <= doc < n_docs:
                 raise CorruptIndex(f"{path}: posting for {term!r} refers to doc {doc}")
@@ -343,7 +342,7 @@ def run_indexer(data_dir: str | Path, transport: Transport) -> IndexReport:
             report.warnings.append((record.url, f"{type(exc).__name__}: {exc}"))
             continue
         summaries.append(summarize_ontology(triples, record.url, blob_id, len(data)))
-        report.parse_warnings.update(triples.warning_kinds)
+        report.parse_warnings.update(kind for kind, _ in triples.warnings)
         report.indexed += 1
 
     index = build_index(summaries)

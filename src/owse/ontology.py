@@ -18,6 +18,7 @@ unbalanced IPv6 bracket, say) is skipped with its content and a warning.
 
 from __future__ import annotations
 
+import itertools
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
@@ -90,14 +91,12 @@ class Triple(NamedTuple):
 class TripleSet:
     """Parsed statements in document order, without exact duplicates.
 
-    ``warning_kinds[i]`` is the kind of ``warnings[i]``, one of
-    "parseType", "rdf:li", "nodeID", "reification", "mixed-content",
-    "nested-nodes", "non-namespaced-tag" and "unresolvable-iri"."""
+    ``warnings`` are (kind, message) pairs, the kind one of "parseType",
+    "rdf:li", "nodeID", "reification", "mixed-content", "nested-nodes",
+    "non-namespaced-tag" and "unresolvable-iri"."""
 
     triples: list[Triple] = field(default_factory=list)
-    base_iri: str = ""
-    warnings: list[str] = field(default_factory=list)
-    warning_kinds: list[str] = field(default_factory=list)
+    warnings: list[tuple[str, str]] = field(default_factory=list)
 
 
 def local_name(iri: str) -> str:
@@ -123,10 +122,9 @@ def _tag_iri(tag: str) -> Iri | None:
 class _Parser:
     def __init__(self) -> None:
         self.triples: list[Triple] = []
-        self.warnings: list[str] = []
-        self.warning_kinds: list[str] = []
+        self.warnings: list[tuple[str, str]] = []
         self._seen: set[tuple] = set()
-        self._blank_counter = 0
+        self._blank_ids = itertools.count()
         self._tag_iris: dict[str, Iri | None] = {}
         self._fragment_prefixes: dict[str, str] = {}
 
@@ -162,14 +160,8 @@ class _Parser:
             )
             return None
 
-    def fresh_blank(self) -> BlankNode:
-        node = BlankNode(f"_:b{self._blank_counter}")
-        self._blank_counter += 1
-        return node
-
     def warn(self, kind: str, message: str) -> None:
-        self.warnings.append(message)
-        self.warning_kinds.append(kind)
+        self.warnings.append((kind, message))
 
     def emit(self, subject: str, predicate: Iri, obj: str) -> None:
         key = (subject.__class__, subject, predicate, obj.__class__, obj)
@@ -206,7 +198,7 @@ class _Parser:
         else:
             if element.get(_RDF_NODEID) is not None:
                 self.warn("nodeID", "rdf:nodeID on node element ignored; fresh blank node used")
-            subject = self.fresh_blank()
+            subject = BlankNode(f"_:b{next(self._blank_ids)}")
 
         if type_iri != RDF_NS + "Description":
             self.emit(subject, _RDF_TYPE_IRI, type_iri)
@@ -304,12 +296,7 @@ def parse_rdfxml(data: bytes, base: str) -> TripleSet:
         for child in root:
             parser.node_element(child, doc_base)
 
-    return TripleSet(
-        triples=parser.triples,
-        base_iri=base if doc_base is None else doc_base,
-        warnings=parser.warnings,
-        warning_kinds=parser.warning_kinds,
-    )
+    return TripleSet(triples=parser.triples, warnings=parser.warnings)
 
 
 class ElementKind(Enum):

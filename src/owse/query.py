@@ -17,7 +17,6 @@ from .indexer import FieldKind, InvertedIndex, Posting, tokenize
 
 @dataclass
 class Query:
-    raw: str
     unique_terms: set[str]
 
 
@@ -38,11 +37,7 @@ class SearchResults:
 
 def parse_query(raw: str) -> Query:
     """Split a raw query with the indexing tokenizer."""
-    return Query(raw=raw, unique_terms=set(tokenize(raw)))
-
-
-def _field_part(postings: list[Posting]) -> float:
-    return sum(p.field.weight * math.log2(1 + p.tf) for p in postings)
+    return Query(unique_terms=set(tokenize(raw)))
 
 
 def search(raw: str, index: InvertedIndex, top_k: int = 10) -> SearchResults:
@@ -60,7 +55,8 @@ def search(raw: str, index: InvertedIndex, top_k: int = 10) -> SearchResults:
             by_doc.setdefault(posting.doc, []).append(posting)
         idf = math.log2(1 + index.doc_count / (1 + len(by_doc)))  # df = len(by_doc)
         for doc, here in by_doc.items():
-            per_doc[doc] = per_doc.get(doc, 0.0) + idf * _field_part(here)
+            field_part = sum(p.field.weight * math.log2(1 + p.tf) for p in here)
+            per_doc[doc] = per_doc.get(doc, 0.0) + idf * field_part
             per_doc_matches.setdefault(doc, []).extend((term, p.field, p.tf) for p in here)
 
     hits = [

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import CorruptObject, EmptyDocument, InvalidRecord, NotFound, OwseError
-from .urls import is_absolute_http, normalize_url
+from .urls import normalize_url
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +45,7 @@ class UrlRecord:
     discovered_at: str = field(default_factory=utc_now)
     kind: str = "Ontology"
 
-    def _check_fields(self) -> None:
+    def validate(self) -> None:
         """Raise InvalidRecord unless each field has the type ``to_json``
         writes for it and the depth is 0 or more; any url string passes."""
         strings = self.url, self.referrer, self.discovered_at, self.kind
@@ -53,11 +53,6 @@ class UrlRecord:
             raise InvalidRecord("url, referrer, discovered_at and kind must be strings")
         if type(self.depth) is not int or self.depth < 0:
             raise InvalidRecord(f"depth is not an integer of 0 or more: {self.depth!r}")
-
-    def validate(self) -> None:
-        self._check_fields()
-        if not is_absolute_http(self.url):
-            raise InvalidRecord(f"url is not an absolute http/https IRI: {self.url!r}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -74,8 +69,8 @@ class UrlRecord:
     @classmethod
     def from_json(cls, line: str) -> "UrlRecord":
         """The record on a journal line. Raise ValueError unless it is a
-        JSON object, and InvalidRecord unless its fields pass the checks
-        ``append`` makes, except that any url string is read back."""
+        JSON object, and InvalidRecord unless its fields pass ``validate``;
+        any url string is read back."""
         data = json.loads(line)
         if not isinstance(data, dict):
             raise ValueError("not an object")
@@ -86,7 +81,7 @@ class UrlRecord:
             discovered_at=data.get("discovered_at"),
             kind=data.get("kind", "Ontology"),
         )
-        record._check_fields()
+        record.validate()
         return record
 
 
@@ -132,7 +127,8 @@ class UrlRepository:
     def append(self, record: UrlRecord) -> bool:
         """Journal ``record`` unless its canonical URL is already present.
 
-        Returns True when a line was written.
+        Returns True when a line was written. Raises InvalidRecord for a
+        record ``validate`` refuses or a url ``normalize_url`` refuses.
         """
         record.validate()
         try:

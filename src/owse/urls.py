@@ -172,15 +172,6 @@ def normalize_url(raw: str, base: str) -> str:
     return urlunsplit((scheme, netloc, path, parts.query, ""))
 
 
-def is_absolute_http(url: str) -> bool:
-    """True when ``url`` is an absolute http/https URL with a host."""
-    try:
-        parts = urlsplit(url)
-    except ValueError:
-        return False
-    return parts.scheme.lower() in ("http", "https") and bool(parts.netloc)
-
-
 def host_of(url: str) -> str:
     """Lowercased host[:port] of an absolute URL, without userinfo."""
     return urlsplit(url).netloc.rpartition("@")[2].lower()

@@ -244,20 +244,26 @@ def reference_load_index(path: str | Path) -> InvertedIndex:
             DocEntry(
                 blob_id=row["id"],
                 url=row["url"],
-                size_bytes=int(row["size_bytes"]),
-                class_count=int(row["classes"]),
-                property_count=int(row["properties"]),
-                relation_count=int(row["relations"]),
+                size_bytes=row["size_bytes"],
+                class_count=row["classes"],
+                property_count=row["properties"],
+                relation_count=row["relations"],
             )
             for row in payload["doc_table"]
         ]
         raw_postings = payload["postings"]
         totals = payload["totals"]["docs"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CorruptIndex(f"{path}: malformed structure ({exc})") from exc
+    for entry in doc_table:
+        counts = [entry.size_bytes, entry.class_count, entry.property_count, entry.relation_count]
+        if not isinstance(entry.blob_id, str) or not isinstance(entry.url, str):
+            raise CorruptIndex(f"{path}: doc_table row {entry} has a non-string id or url")
+        if any(type(count) is not int or count < 0 for count in counts):
+            raise CorruptIndex(f"{path}: doc_table row {entry} has a count that is not an integer >= 0")
 
-    if totals != len(doc_table):
-        raise CorruptIndex(f"{path}: totals.docs={totals} but doc_table has {len(doc_table)}")
+    if type(totals) is not int or totals != len(doc_table):
+        raise CorruptIndex(f"{path}: totals.docs={totals!r} but doc_table has {len(doc_table)}")
 
     postings: dict[str, list[Posting]] = {}
     for term, rows in raw_postings.items():
@@ -267,9 +273,11 @@ def reference_load_index(path: str | Path) -> InvertedIndex:
         for row in rows:
             try:
                 doc, field_name, tf = row
-                posting = Posting(int(doc), field_by_name[field_name], int(tf))
+                posting = Posting(doc, field_by_name[field_name], tf)
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorruptIndex(f"{path}: bad posting {row!r} for {term!r}") from exc
+            if type(posting.doc) is not int or type(posting.tf) is not int:
+                raise CorruptIndex(f"{path}: posting {row!r} for {term!r} has a non-integer doc or tf")
             if not 0 <= posting.doc < len(doc_table):
                 raise CorruptIndex(f"{path}: posting for {term!r} refers to doc {posting.doc}")
             if posting.tf < 1:

@@ -4,6 +4,8 @@ Each test covers one acceptance criterion and prints a PASS line; run
 with ``pytest tests/test_acceptance.py -v -s`` to see them.
 """
 
+import hashlib
+import json
 import random
 import time
 
@@ -19,7 +21,8 @@ from owse.query import search
 from owse.storage import OntologyRepository, UrlRecord, UrlRepository
 from owse.transport import HttpTransport
 
-from support import RecordingTransport, index_snapshots, make_summary, summary_as_dict
+from conftest import EXPECTED_DIR
+from support import FIXTURE_HOST, RecordingTransport, index_snapshots, make_summary, static_site_from, summary_as_dict
 
 from oracle import brute_force_search
 
@@ -251,6 +254,23 @@ def test_c6_determinism_and_round_trip(tmp_path, fixture_site):
     round_trip()
     assert rounds >= 100
     print(f"\nACCEPTANCE 6 determinism + {rounds} round-trip cases: PASS")
+
+
+@pytest.mark.parametrize("follow", [False, True])
+def test_c6_index_bytes_equal_the_committed_digest(tmp_path, webroot, follow):
+    # test_c6 compares two runs of one build; this pins the bytes across
+    # builds, so a change that alters them must update the digest.
+    expected = json.loads((EXPECTED_DIR / "index_sha256.json").read_text())
+    crawl(
+        crawl_config(f"{FIXTURE_HOST}/index.html", follow_ontology_links=follow),
+        transport=static_site_from(webroot),
+        url_repo=UrlRepository(tmp_path),
+        ontology_repo=OntologyRepository(tmp_path),
+    )
+    run_indexer(tmp_path, transport=static_site_from(webroot))
+    digest = hashlib.sha256((tmp_path / "index.json").read_bytes()).hexdigest()
+    assert digest == expected["follow_ontology_links"][str(follow).lower()]
+    print(f"\nACCEPTANCE 6 index bytes equal the committed digest (follow={follow}): PASS")
 
 
 def test_c7_graceful_degradation(pipeline_dir, fixture_site, capsys):

@@ -94,6 +94,19 @@ class TestQueryAndStats:
             "  skipped urn:x:y: fetch failed: connection",
         ]
 
+    def test_query_index_with_a_list_url_exits_1(self, tmp_path, capsys):
+        # Two tied hits are ordered by URL, which must be a string.
+        row = {"id": "a" * 64, "size_bytes": 1, "classes": 1, "properties": 0, "relations": 0}
+        payload = {
+            "version": 1,
+            "totals": {"docs": 2},
+            "doc_table": [dict(row, url=["u"]), dict(row, url="http://b/")],
+            "postings": {"pizza": [[0, "ClassName", 1], [1, "ClassName", 1]]},
+        }
+        (tmp_path / INDEX_NAME).write_text(json.dumps(payload))
+        assert run_cli("query", "--data-dir", str(tmp_path), "pizza") == 1
+        assert "unusable index" in capsys.readouterr().err
+
     def test_stats_corrupt_index_exits_1(self, tmp_path, capsys):
         (tmp_path / INDEX_NAME).write_text('{"version": 99}')
         assert run_cli("stats", "--data-dir", str(tmp_path)) == 1

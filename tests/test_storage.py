@@ -3,7 +3,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owse import indexer
@@ -14,6 +14,7 @@ from owse.errors import (
     EmptyDocument,
     InvalidRecord,
     NotFound,
+    OwseError,
     VersionMismatch,
 )
 from owse.indexer import (
@@ -25,8 +26,10 @@ from owse.indexer import (
     save_index,
 )
 from owse.storage import OntologyRepository, UrlRecord, UrlRepository
+from owse.urls import normalize_url
 
 from support import index_snapshots, reference_load_index
+from test_urls import NOISE, REF_HEADS, REF_PIECES
 
 
 def record(url, depth=1):
@@ -58,10 +61,48 @@ class TestUrlRepository:
         assert repo.append(record("http://a/y.owl")) is True
         assert len(repo) == 2
 
-    def test_relative_url_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "url, alias",
+        [
+            ("http://x/a", "HTTP://X:80/a#f"),
+            ("https://x/", "https://X:443"),
+            # RFC 3986 makes the IPvFuture "v" case-insensitive; urlsplit
+            # refuses an uppercase one since 3.11, normalize_url does not.
+            ("http://[V1.fe]/o.owl", "http://[v1.fe]/o.owl"),
+        ],
+    )
+    def test_absolute_http_url_is_appended_once(self, tmp_path, url, alias):
         repo = UrlRepository(tmp_path)
-        with pytest.raises(InvalidRecord):
-            repo.append(record("x.owl"))
+        assert repo.append(record(url)) is True
+        assert repo.append(record(alias)) is False
+        assert [r.url for r in UrlRepository(tmp_path).scan()] == [url]
+
+    @pytest.mark.parametrize("url", ["x.owl", "urn:isbn:123", "http://:80/", "http://[bad/"])
+    def test_url_without_a_canonical_form_is_refused(self, tmp_path, url):
+        with pytest.raises(InvalidRecord, match="cannot canonicalize"):
+            UrlRepository(tmp_path).append(record(url))
+        assert not (tmp_path / "urls.jsonl").exists()
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(REF_HEADS + ["http://"]),
+        st.lists(st.sampled_from(REF_PIECES + NOISE + ["[V1.fe]"]), max_size=8).map("".join),
+    )
+    @example("http://", "[V1.fe]/o.owl")
+    def test_append_refuses_exactly_what_normalize_url_refuses(self, tmp_path_factory, head, tail):
+        url = head + tail
+        try:
+            normalize_url(url, url)
+        except OwseError:
+            canonical = False
+        else:
+            canonical = True
+        repo = UrlRepository(tmp_path_factory.mktemp("journal"))
+        if canonical:
+            assert repo.append(record(url)) is True
+        else:
+            with pytest.raises(InvalidRecord):
+                repo.append(record(url))
 
     @pytest.mark.parametrize(
         "fields",
@@ -436,12 +477,27 @@ class TestLoadIndex:
             lambda payload: payload["postings"]["pizza"][0].__setitem__(0, float("inf")),
             lambda payload: payload["postings"]["pizza"][0].__setitem__(2, float("inf")),
             lambda payload: payload["doc_table"][0].update(size_bytes=float("inf")),
+            lambda payload: payload["postings"]["pizza"][0].__setitem__(0, False),
+            lambda payload: payload["postings"]["pizza"][0].__setitem__(0, 0.9),
+            lambda payload: payload["postings"]["pizza"][0].__setitem__(2, "2"),
+            lambda payload: payload["doc_table"][0].update(id=5),
+            lambda payload: payload["doc_table"][0].update(url=["u"]),
+            lambda payload: payload["doc_table"][0].update(size_bytes="12"),
+            lambda payload: payload["doc_table"][0].update(classes=1.5),
+            lambda payload: payload["doc_table"][0].update(properties=True),
+            lambda payload: payload["doc_table"][0].update(relations=-1),
+            lambda payload: payload["totals"].update(docs=True),
+            lambda payload: payload["totals"].update(docs=1.0),
         ],
-        ids=["postings-list", "rows-not-a-list", "infinite-doc", "infinite-tf", "infinite-size"],
+        ids=[
+            "postings-list", "rows-not-a-list", "infinite-doc", "infinite-tf", "infinite-size",
+            "bool-doc", "float-doc", "string-tf", "int-id", "list-url", "string-size",
+            "float-classes", "bool-properties", "negative-relations", "bool-totals", "float-totals",
+        ],
     )
     def test_malformed_payloads_are_corrupt(self, tmp_path, mutate):
-        # The reference loader lets AttributeError, TypeError or
-        # OverflowError escape for these.
+        # save_index writes none of these. The reference loader lets
+        # AttributeError or TypeError escape for the first two.
         path = tmp_path / "index.json"
         save_index(small_index(), path)
         payload = json.loads(path.read_text())

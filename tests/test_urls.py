@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owse.errors import Unparseable, UnsupportedScheme
-from owse.urls import _CANONICAL_BASE, _PLAIN_REF, host_of, is_absolute_http, normalize_url
+from owse.urls import _CANONICAL_BASE, _PLAIN_REF, host_of, normalize_url
 
 
 def test_relative_reference_resolution():
@@ -55,13 +55,6 @@ def test_dot_segments_resolved():
 
 def test_case_of_path_preserved():
     assert normalize_url("http://X/Path/File.OWL", "http://y/") == "http://x/Path/File.OWL"
-
-
-def test_is_absolute_http():
-    assert is_absolute_http("http://x/a")
-    assert is_absolute_http("https://x/")
-    assert not is_absolute_http("x.owl")
-    assert not is_absolute_http("urn:isbn:123")
 
 
 def test_host_of_includes_port():
