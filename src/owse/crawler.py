@@ -27,7 +27,7 @@ from html import unescape
 from html.parser import HTMLParser
 from urllib.parse import urlsplit
 
-from .errors import ConfigError, FetchError, NotRdf, OwseError, XmlNotWellFormed
+from .errors import ConfigError, CorruptObject, FetchError, NotFound, NotRdf, OwseError, XmlNotWellFormed
 from .ontology import OWL_IMPORTS, RDFS_SEEALSO, Iri, TripleSet, parse_rdfxml
 from .storage import OntologyRepository, UrlRecord, UrlRepository
 from .transport import FetchResponse, Transport
@@ -392,10 +392,14 @@ class _Crawl:
             log.info("ontology %s stored as %s", canonical_url, blob_id[:12])
         else:
             # Journaled already, earlier in this run (a redirect alias) or by
-            # an earlier run: a fetch that stores nothing. Its references are
-            # still scanned at this depth: the earlier fetch may have been
-            # deeper (workers fetch out of BFS order), or its run stopped.
-            self.report.pages_fetched += 1
+            # an earlier run: a fetch that stores nothing, unless the URL's
+            # stored object is missing or corrupt. Its references are still
+            # scanned at this depth: the earlier fetch may have been deeper
+            # (workers fetch out of BFS order), or its run stopped.
+            try:
+                self.ontology_repo.get(self.ontology_repo.url_map()[canonical_url])
+            except (KeyError, NotFound, CorruptObject):
+                self.ontology_repo.put(body, source_url=canonical_url)
         if self.config.follow_ontology_links and depth < self.config.max_depth:
             try:
                 triples = parse_rdfxml(body, base=canonical_url)
@@ -421,20 +425,20 @@ class _Crawl:
             if not response.body:
                 return "empty-document"
             self._handle_ontology(response.body, canonical_url, depth, referrer)
-        else:
-            self.report.pages_fetched += 1
-            if kind is ResourceKind.HTML and depth < self.config.max_depth:
-                for link in extract_html_links(response.body, canonical_url):
-                    self.enqueue(link, depth + 1, canonical_url)
+        elif kind is ResourceKind.HTML and depth < self.config.max_depth:
+            for link in extract_html_links(response.body, canonical_url):
+                self.enqueue(link, depth + 1, canonical_url)
         return None
 
     def _process(self, url: str, depth: int, referrer: str, result: FetchResponse | str) -> None:
-        """Account for one dispatched URL, given its response or error kind."""
+        """Account for one dispatched URL, given its response or error kind:
+        a request that stored no new ontology is one page."""
+        found = self.report.ontologies_found
         error = result if isinstance(result, str) else self._handle_response(url, depth, referrer, result)
         if error is not None:
             self.report.errors.append((url, error))
-            if error != "robots-disallowed":  # a skip makes no request
-                self.report.pages_fetched += 1
+        if error != "robots-disallowed" and self.report.ontologies_found == found:  # a skip makes no request
+            self.report.pages_fetched += 1
 
     # -- dispatcher ---------------------------------------------------
 

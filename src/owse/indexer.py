@@ -327,11 +327,11 @@ def run_indexer(data_dir: str | Path, transport: Transport) -> IndexReport:
             except FetchError as exc:
                 report.warnings.append((record.url, f"fetch failed: {exc.kind}"))
                 continue
-            if not 200 <= response.status < 300 or not response.body:
+            if not 200 <= response.status < 300:
                 report.warnings.append((record.url, f"http status {response.status}"))
                 continue
-            if response.truncated:
-                report.warnings.append((record.url, "oversize"))
+            if response.truncated or not response.body:
+                report.warnings.append((record.url, "oversize" if response.truncated else "empty-document"))
                 continue
             data = response.body
             blob_id = ontology_repo.put(data, source_url=record.url)

@@ -6,9 +6,13 @@ Layout under a data directory:
     ontologies/objects/<sha256>.rdf ontology bytes, content-addressed
     ontologies/manifest.jsonl       one line per store operation
 
-Journal and manifest are UTF-8 line-delimited JSON. Appends write the
-whole line (record plus newline) in a single call so a crashed run can
-leave at most one torn trailing line, which readers skip with a warning.
+Journal and manifest are UTF-8 line-delimited JSON with one writer and
+one reader. An append writes its whole line in a single call, so a crash
+leaves at most one torn trailing line: readers skip it with a warning, and
+the next append ends it before writing its own. Readers also skip, with a
+warning, a line that is not a record, such as a manifest line without a
+string id and source_url. A re-crawl re-stores a journaled URL whose
+stored object is missing or corrupt.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 from .errors import CorruptObject, EmptyDocument, InvalidRecord, NotFound, OwseError
 from .urls import normalize_url
@@ -85,25 +90,42 @@ class UrlRecord:
         return record
 
 
-def _read_journal_lines(path: Path) -> list[tuple[int, str]]:
-    """Complete (newline-terminated) lines of a journal with line numbers.
+def _append_line(path: Path, line: str) -> None:
+    """Append ``line`` and its newline to a log in one write call. A last
+    line torn by a crashed writer is ended first, in the same call, so
+    readers skip it as malformed and keep this one."""
+    with open(path, "ab+") as handle:
+        handle.seek(max(handle.tell() - 1, 0))  # to the last byte, if any
+        torn = handle.read(1) not in (b"", b"\n")
+        handle.write(b"\n" * torn + (line + "\n").encode("utf-8"))
 
-    A trailing chunk without its newline is treated as torn by a crashed
-    writer: skipped with a warning, never an error.
+
+def _read_lines(path: Path, parse: Callable[[str], object], what: str) -> list:
+    """``parse`` of each complete (newline-terminated) line of a log, in
+    order. A trailing chunk without its newline, torn by a crashed writer,
+    and a line ``parse`` refuses are skipped with a warning, never an error.
     """
     if not path.exists():
         return []
-    raw = path.read_text(encoding="utf-8", errors="replace")
-    if not raw:
-        return []
-    torn = not raw.endswith("\n")
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if torn and lines:
-        log.warning("%s: skipping torn trailing line %d", path, len(lines))
-        lines.pop()
-    return [(i + 1, line) for i, line in enumerate(lines)]
+    lines = path.read_text(encoding="utf-8", errors="replace").split("\n")
+    if lines.pop():  # the text after the last newline: torn unless empty
+        log.warning("%s: skipping torn trailing line %d", path, len(lines) + 1)
+    items = []
+    for lineno, line in enumerate(lines, 1):
+        try:
+            items.append(parse(line))
+        except (ValueError, InvalidRecord) as exc:
+            log.warning("%s line %d: malformed %s skipped (%s)", path, lineno, what, exc)
+    return items
+
+
+def _manifest_entry(line: str) -> dict:
+    """The entry on a manifest line. Raise ValueError unless it is a JSON
+    object whose id and source_url are strings."""
+    entry = json.loads(line)
+    if not (isinstance(entry, dict) and isinstance(entry.get("id"), str) and isinstance(entry.get("source_url"), str)):
+        raise ValueError("not an object with a string id and source_url")
+    return entry
 
 
 class UrlRepository:
@@ -138,21 +160,13 @@ class UrlRepository:
         seen = self._seen_urls()
         if canonical in seen:
             return False
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(record.to_json() + "\n")
-            handle.flush()
+        _append_line(self.path, record.to_json())
         seen.add(canonical)
         return True
 
     def scan(self) -> list[UrlRecord]:
         """All journaled records in append order."""
-        records = []
-        for lineno, line in _read_journal_lines(self.path):
-            try:
-                records.append(UrlRecord.from_json(line))
-            except (ValueError, InvalidRecord) as exc:
-                log.warning("%s line %d: malformed record skipped (%s)", self.path, lineno, exc)
-        return records
+        return _read_lines(self.path, UrlRecord.from_json, "record")
 
     def __len__(self) -> int:
         return len(self._seen_urls())
@@ -188,9 +202,7 @@ class OntologyRepository:
             {"id": blob_id, "source_url": source_url, "fetched_at": utc_now(), "size": len(data)},
             ensure_ascii=False,
         )
-        with open(self.manifest_path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
+        _append_line(self.manifest_path, line)
         return blob_id
 
     def get(self, blob_id: str) -> bytes:
@@ -205,30 +217,13 @@ class OntologyRepository:
         return data
 
     def manifest(self) -> list[dict]:
-        """Manifest entries in append order (torn tail skipped)."""
-        entries = []
-        for lineno, line in _read_journal_lines(self.manifest_path):
-            try:
-                entry = json.loads(line)
-                if not isinstance(entry, dict):
-                    raise ValueError("not an object")
-                entries.append(entry)
-            except ValueError as exc:
-                log.warning(
-                    "%s line %d: malformed manifest entry skipped (%s)",
-                    self.manifest_path,
-                    lineno,
-                    exc,
-                )
-        return entries
+        """Manifest entries in append order (torn tail and entries without
+        a string id and source_url skipped)."""
+        return _read_lines(self.manifest_path, _manifest_entry, "manifest entry")
 
     def url_map(self) -> dict[str, str]:
         """Latest blob id recorded for each source URL."""
-        return {
-            e["source_url"]: e["id"]
-            for e in self.manifest()
-            if isinstance(e.get("source_url"), str) and isinstance(e.get("id"), str)
-        }
+        return {e["source_url"]: e["id"] for e in self.manifest()}
 
     def count(self) -> int:
         return sum(1 for _ in self.objects_dir.glob("*.rdf"))

@@ -103,3 +103,28 @@ def _unreferenced_private_names(path) -> list[str]:
 def test_no_module_binds_a_private_name_it_never_reads():
     paths = sorted((REPO_ROOT / "src" / "owse").glob("*.py"))
     assert [unread for path in paths for unread in _unreferenced_private_names(path)] == []
+
+
+def _append_opens(path) -> list[str]:
+    """``module.function`` of each call in ``path`` to ``open(file, mode)``
+    or ``<path>.open(mode)`` whose mode is a string with an "a" in it."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            modes += node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:1]
+            if any(isinstance(mode, ast.Constant) and "a" in str(mode.value) for mode in modes):
+                found.append(f"{path.stem}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_only_the_store_line_writer_appends_to_a_file():
+    paths = sorted((REPO_ROOT / "src" / "owse").glob("*.py"))
+    assert [where for path in paths for where in _append_opens(path)] == ["storage._append_line"]

@@ -1,4 +1,5 @@
 import html
+import json
 import random
 import signal
 import tempfile
@@ -677,6 +678,30 @@ class TestCrawl:
         assert report.errors == [(f"{FIXTURE_HOST}/private/hidden.html", "robots-disallowed")]
         assert (journal.read_bytes(), manifest.read_bytes()) == before
         assert len(manifest.read_bytes().splitlines()) == 3
+
+    @pytest.mark.parametrize("damage", ["tampered", "deleted", "never-stored"])
+    def test_recrawl_repairs_a_missing_or_corrupt_stored_object(self, tmp_path, webroot, expected_crawl, damage):
+        _, url_repo, ontology_repo = run_crawl(static_site_from(webroot), tmp_path)
+        url = url_repo.scan()[0].url
+        blob_id = ontology_repo.url_map()[url]
+        data = ontology_repo.get(blob_id)
+        obj = ontology_repo.objects_dir / f"{blob_id}.rdf"
+        if damage == "tampered":
+            obj.write_bytes(b"tampered")
+        else:
+            obj.unlink()
+        manifest = ontology_repo.manifest_path
+        if damage == "never-stored":  # a crash between journaling and storing
+            kept = [line for line in manifest.read_text().splitlines(True) if json.loads(line)["source_url"] != url]
+            manifest.write_text("".join(kept))
+        journal, entries = (tmp_path / "urls.jsonl").read_bytes(), ontology_repo.manifest()
+        report, _, _ = run_crawl(static_site_from(webroot), tmp_path)
+        assert report.ontologies_found == 0
+        assert report.pages_fetched == expected_crawl["html_pages_fetched_by_max_depth"]["3"] + 3
+        assert ontology_repo.get(ontology_repo.url_map()[url]) == data
+        assert (tmp_path / "urls.jsonl").read_bytes() == journal
+        [repair] = ontology_repo.manifest()[len(entries):]
+        assert (repair["id"], repair["source_url"]) == (blob_id, url)
 
     @pytest.mark.parametrize("follow", [False, True])
     def test_recrawl_after_ontology_budget_finds_the_rest(self, tmp_path, webroot, expected_crawl, follow):

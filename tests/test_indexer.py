@@ -2,6 +2,7 @@ import gc
 import hashlib
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -371,6 +372,16 @@ class TestRunIndexer:
         assert (report.indexed, report.skipped) == (0, 1)
         assert report.warnings == [(url, "oversize")]
         assert OntologyRepository(tmp_path).count() == 0
+
+    @pytest.mark.parametrize(
+        "status, body, reason",
+        [(404, b"not found", "http status 404"), (500, b"", "http status 500"), (200, b"", "empty-document")],
+    )
+    def test_unusable_refetch_is_skipped_with_its_reason(self, tmp_path, status, body, reason):
+        url = "http://a.test/e.owl"
+        self.journal(tmp_path, [url])
+        report = run_indexer(tmp_path, StaticTransport({url: (status, "application/rdf+xml", body)}))
+        assert report.warnings == [(url, reason)]
 
     def test_refetched_blob_id_is_content_digest(self, tmp_path, webroot):
         transport = static_site_from(webroot)

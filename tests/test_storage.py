@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import logging
 
 import pytest
 from hypothesis import example, given, settings
@@ -149,6 +150,17 @@ class TestUrlRepository:
         assert [r.url for r in records] == ["http://a/1.owl", "http://a/2.owl"]
         assert any("line 2" in message for message in caplog.messages)
 
+    def test_append_after_a_torn_line_is_kept(self, tmp_path, caplog):
+        UrlRepository(tmp_path).append(record("http://a/1.owl"))
+        with open(tmp_path / "urls.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"url": "http://a/2.owl", "ref')  # no newline: torn
+        assert UrlRepository(tmp_path).append(record("http://a/3.owl")) is True
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert [r.url for r in UrlRepository(tmp_path).scan()] == ["http://a/1.owl", "http://a/3.owl"]
+        [message] = caplog.messages
+        assert "line 2: malformed record skipped" in message
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -240,7 +252,30 @@ class TestOntologyRepository:
         newer = repo.put(b"v2", source_url="http://a/x.owl")
         assert repo.url_map()["http://a/x.owl"] == newer
 
-    @pytest.mark.parametrize("line", ["123", '"source_url id"', '["source_url", "id"]', "null"])
+    def test_put_after_a_torn_line_is_kept(self, tmp_path, caplog):
+        repo = OntologyRepository(tmp_path)
+        first = repo.put(b"v1", source_url="http://a/1.owl")
+        with open(repo.manifest_path, "a", encoding="utf-8") as fh:
+            fh.write('{"id": "ab", "source_u')  # no newline: torn
+        third = OntologyRepository(tmp_path).put(b"v3", source_url="http://a/3.owl")
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert OntologyRepository(tmp_path).url_map() == {"http://a/1.owl": first, "http://a/3.owl": third}
+        [message] = caplog.messages
+        assert "line 2: malformed manifest entry skipped" in message
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "123",
+            '"source_url id"',
+            '["source_url", "id"]',
+            "null",
+            json.dumps({"id": "ab"}),
+            json.dumps({"source_url": ["http://a/x.owl"], "id": "ab"}),
+            json.dumps({"source_url": "http://a/x.owl", "id": 5}),
+        ],
+    )
     def test_manifest_entry_that_is_not_an_object_is_skipped(self, tmp_path, caplog, line):
         repo = OntologyRepository(tmp_path)
         first = repo.put(b"v1", source_url="http://a/1.owl")
@@ -252,17 +287,85 @@ class TestOntologyRepository:
         assert any("line 2: malformed manifest entry skipped" in message for message in caplog.messages)
         assert repo.url_map() == {"http://a/1.owl": first, "http://a/2.owl": second}
 
-    @pytest.mark.parametrize(
-        "entry",
-        [{"id": "ab"}, {"source_url": ["http://a/x.owl"], "id": "ab"}, {"source_url": "http://a/x.owl", "id": 5}],
-    )
-    def test_url_map_skips_entries_without_a_string_url_and_id(self, tmp_path, entry):
-        repo = OntologyRepository(tmp_path)
-        first = repo.put(b"v1", source_url="http://a/1.owl")
-        with open(repo.manifest_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry) + "\n")
-        assert repo.url_map() == {"http://a/1.owl": first}
 
+# Lines no writer writes; none holds a "}" it does not open, so one
+# written after a torn chunk cannot complete the torn line into a valid one.
+MALFORMED_LINES = ["not json", "123", "[1, 2]", "null", '{"url": 5}', '{"id": "ab"}']
+
+log_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(0, 3), st.integers(0, 2)),
+        st.tuples(st.just("malformed"), st.sampled_from(MALFORMED_LINES)),
+        st.tuples(st.just("torn"), st.integers(0, 3), st.integers(1, 200)),
+    ),
+    max_size=12,
+)
+
+
+class TestLogs:
+    """The journal and the manifest under writes, malformed lines and
+    chunks torn by a crashed writer, each write by a fresh repository."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=log_ops)
+    @example(ops=[("write", 1, 0), ("torn", 2, 30), ("write", 3, 0)])
+    def test_readers_keep_every_completed_line_and_skip_torn_ones(self, tmp_path_factory, ops):
+        data_dir = tmp_path_factory.mktemp("logs")
+        journal = data_dir / "urls.jsonl"
+        manifest = OntologyRepository(data_dir).manifest_path
+        appended, latest = [], {}
+        malformed = {journal: 0, manifest: 0}  # lines each reader must skip
+        torn = {journal: False, manifest: False}  # whether each ends torn
+
+        def wrote(path, kind):
+            # The writer ends a torn line before its own, which it keeps;
+            # a malformed line written after a torn chunk joins it.
+            if kind == "malformed" or (kind == "write" and torn[path]):
+                malformed[path] += 1
+            torn[path] = kind == "torn"
+
+        for op in ops:
+            if op[0] == "write":
+                _, n, version = op
+                url = f"http://a/{n}.owl"
+                new = url not in appended
+                assert UrlRepository(data_dir).append(record(url)) is new
+                if new:
+                    appended.append(url)
+                    wrote(journal, "write")
+                latest[url] = OntologyRepository(data_dir).put(f"v{version}".encode(), source_url=url)
+                wrote(manifest, "write")
+                continue
+            if op[0] == "malformed":
+                lines = [op[1] + "\n"] * 2
+            else:
+                _, n, cut = op
+                url = f"http://a/{n}.owl"
+                entry = {"id": "ab", "source_url": url, "fetched_at": "t", "size": 2}
+                # Short of the line's last character: a line cut just
+                # before its newline reads as whole once the next append
+                # ends it, a case this model leaves out (ROADMAP item 5).
+                lines = [line[: min(cut, len(line) - 1)] for line in (record(url).to_json(), json.dumps(entry))]
+            for path, line in zip((journal, manifest), lines):
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write(line)
+                wrote(path, op[0])
+
+        messages = []
+        handler = logging.Handler()
+        handler.emit = lambda rec: messages.append(rec.getMessage())
+        storage_log = logging.getLogger("owse.storage")
+        storage_log.addHandler(handler)
+        try:
+            assert [r.url for r in UrlRepository(data_dir).scan()] == appended
+            assert OntologyRepository(data_dir).url_map() == latest
+        finally:
+            storage_log.removeHandler(handler)
+        for path in (journal, manifest):
+            warnings = [m for m in messages if m.startswith(str(path))]
+            assert sum("malformed" in m for m in warnings) == malformed[path]
+            assert sum("torn trailing line" in m for m in warnings) == torn[path]
+            assert len(warnings) == malformed[path] + torn[path]
 
 def small_index():
     doc = DocEntry(
