@@ -8,11 +8,12 @@ Layout under a data directory:
 
 Journal and manifest are UTF-8 line-delimited JSON with one writer and
 one reader. An append writes its whole line in a single call, so a crash
-leaves at most one torn trailing line: readers skip it with a warning, and
-the next append ends it before writing its own. Readers also skip, with a
-warning, a line that is not a record, such as a manifest line without a
-string id and source_url. A re-crawl re-stores a journaled URL whose
-stored object is missing or corrupt.
+leaves at most one torn trailing line, which the next append ends before
+writing its own. Readers read that tail as a record when it is one whole
+record short of only its newline, and skip it with a warning otherwise.
+Readers also skip, with a warning, a line that is not a record, such as a
+manifest line without a string id and source_url. A re-crawl re-stores a
+journaled URL whose stored object is missing or corrupt.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class UrlRecord:
 def _append_line(path: Path, line: str) -> None:
     """Append ``line`` and its newline to a log in one write call. A last
     line torn by a crashed writer is ended first, in the same call, so
-    readers skip it as malformed and keep this one."""
+    readers keep this one and read the torn one as the line it now is."""
     with open(path, "ab+") as handle:
         handle.seek(max(handle.tell() - 1, 0))  # to the last byte, if any
         torn = handle.read(1) not in (b"", b"\n")
@@ -101,21 +102,24 @@ def _append_line(path: Path, line: str) -> None:
 
 
 def _read_lines(path: Path, parse: Callable[[str], object], what: str) -> list:
-    """``parse`` of each complete (newline-terminated) line of a log, in
-    order. A trailing chunk without its newline, torn by a crashed writer,
-    and a line ``parse`` refuses are skipped with a warning, never an error.
+    """``parse`` of each line of a log, in order, and of a trailing chunk
+    without its newline, torn by a crashed writer. A record is one flat
+    JSON object, so ``parse`` accepts such a chunk only when the crash cut
+    nothing but its newline. What ``parse`` refuses is skipped with a
+    warning, never an error.
     """
     if not path.exists():
         return []
-    lines = path.read_text(encoding="utf-8", errors="replace").split("\n")
-    if lines.pop():  # the text after the last newline: torn unless empty
-        log.warning("%s: skipping torn trailing line %d", path, len(lines) + 1)
+    *lines, tail = path.read_text(encoding="utf-8", errors="replace").split("\n")
     items = []
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate([*lines, tail] if tail else lines, 1):
         try:
             items.append(parse(line))
         except (ValueError, InvalidRecord) as exc:
-            log.warning("%s line %d: malformed %s skipped (%s)", path, lineno, what, exc)
+            if lineno > len(lines):
+                log.warning("%s: skipping torn trailing line %d", path, lineno)
+            else:
+                log.warning("%s line %d: malformed %s skipped (%s)", path, lineno, what, exc)
     return items
 
 

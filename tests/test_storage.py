@@ -161,6 +161,18 @@ class TestUrlRepository:
         [message] = caplog.messages
         assert "line 2: malformed record skipped" in message
 
+    def test_record_torn_only_of_its_newline_is_read_once(self, tmp_path, caplog):
+        UrlRepository(tmp_path).append(record("http://a/1.owl"))
+        with open(tmp_path / "urls.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(UrlRecord(url="http://a/2.owl").to_json())  # whole, but no newline
+        with caplog.at_level("WARNING"):
+            assert [r.url for r in UrlRepository(tmp_path).scan()] == ["http://a/1.owl", "http://a/2.owl"]
+            assert UrlRepository(tmp_path).append(record("http://a/2.owl")) is False
+            assert UrlRepository(tmp_path).append(record("http://a/3.owl")) is True
+            urls = [r.url for r in UrlRepository(tmp_path).scan()]
+        assert urls == ["http://a/1.owl", "http://a/2.owl", "http://a/3.owl"]
+        assert caplog.messages == []
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -264,6 +276,18 @@ class TestOntologyRepository:
         [message] = caplog.messages
         assert "line 2: malformed manifest entry skipped" in message
 
+    def test_entry_torn_only_of_its_newline_is_read_once(self, tmp_path, caplog):
+        repo = OntologyRepository(tmp_path)
+        first = repo.put(b"v1", source_url="http://a/1.owl")
+        entry = {"id": "ab", "source_url": "http://a/2.owl", "fetched_at": "t", "size": 2}
+        with open(repo.manifest_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(entry))  # whole, but no newline
+        with caplog.at_level("WARNING"):
+            assert OntologyRepository(tmp_path).url_map() == {"http://a/1.owl": first, "http://a/2.owl": "ab"}
+            third = OntologyRepository(tmp_path).put(b"v3", source_url="http://a/3.owl")
+            assert [e["id"] for e in repo.manifest()] == [first, "ab", third]
+        assert caplog.messages == []
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -291,6 +315,7 @@ class TestOntologyRepository:
 # Lines no writer writes; none holds a "}" it does not open, so one
 # written after a torn chunk cannot complete the torn line into a valid one.
 MALFORMED_LINES = ["not json", "123", "[1, 2]", "null", '{"url": 5}', '{"id": "ab"}']
+TORN = "torn"  # a log's tail that no reader accepts
 
 log_ops = st.lists(
     st.one_of(
@@ -309,47 +334,58 @@ class TestLogs:
     @settings(max_examples=200, deadline=None)
     @given(ops=log_ops)
     @example(ops=[("write", 1, 0), ("torn", 2, 30), ("write", 3, 0)])
+    @example(ops=[("write", 1, 0), ("torn", 2, 200), ("write", 2, 1)])
     def test_readers_keep_every_completed_line_and_skip_torn_ones(self, tmp_path_factory, ops):
         data_dir = tmp_path_factory.mktemp("logs")
         journal = data_dir / "urls.jsonl"
         manifest = OntologyRepository(data_dir).manifest_path
-        appended, latest = [], {}
+        kept = {journal: [], manifest: []}  # items of the lines each reader keeps
         malformed = {journal: 0, manifest: 0}  # lines each reader must skip
-        torn = {journal: False, manifest: False}  # whether each ends torn
+        tail = {journal: None, manifest: None}  # after the last newline: None, TORN or a whole item
 
-        def wrote(path, kind):
-            # The writer ends a torn line before its own, which it keeps;
-            # a malformed line written after a torn chunk joins it.
-            if kind == "malformed" or (kind == "write" and torn[path]):
+        def read(path):
+            return kept[path] + ([] if tail[path] in (None, TORN) else [tail[path]])
+
+        def wrote(path, kind, item=None):
+            # The writer ends the tail before its own line, which it keeps;
+            # a malformed line or a chunk written after a tail joins it.
+            if kind == "write":
+                if tail[path] is TORN:
+                    malformed[path] += 1
+                kept[path] = read(path) + [item]
+                tail[path] = None
+            elif kind == "malformed":
                 malformed[path] += 1
-            torn[path] = kind == "torn"
+                tail[path] = None
+            else:
+                tail[path] = item if tail[path] is None and item is not None else TORN
 
         for op in ops:
             if op[0] == "write":
                 _, n, version = op
                 url = f"http://a/{n}.owl"
-                new = url not in appended
+                new = url not in read(journal)
                 assert UrlRepository(data_dir).append(record(url)) is new
                 if new:
-                    appended.append(url)
-                    wrote(journal, "write")
-                latest[url] = OntologyRepository(data_dir).put(f"v{version}".encode(), source_url=url)
-                wrote(manifest, "write")
-                continue
-            if op[0] == "malformed":
-                lines = [op[1] + "\n"] * 2
+                    wrote(journal, "write", url)
+                blob_id = OntologyRepository(data_dir).put(f"v{version}".encode(), source_url=url)
+                wrote(manifest, "write", (url, blob_id))
+            elif op[0] == "malformed":
+                for path in (journal, manifest):
+                    with open(path, "a", encoding="utf-8") as fh:
+                        fh.write(op[1] + "\n")
+                    wrote(path, "malformed")
             else:
                 _, n, cut = op
                 url = f"http://a/{n}.owl"
                 entry = {"id": "ab", "source_url": url, "fetched_at": "t", "size": 2}
-                # Short of the line's last character: a line cut just
-                # before its newline reads as whole once the next append
-                # ends it, a case this model leaves out (ROADMAP item 5).
-                lines = [line[: min(cut, len(line) - 1)] for line in (record(url).to_json(), json.dumps(entry))]
-            for path, line in zip((journal, manifest), lines):
-                with open(path, "a", encoding="utf-8") as fh:
-                    fh.write(line)
-                wrote(path, op[0])
+                for path, line, item in (
+                    (journal, record(url).to_json(), url),
+                    (manifest, json.dumps(entry), (url, "ab")),
+                ):
+                    with open(path, "a", encoding="utf-8") as fh:
+                        fh.write(line[:cut])
+                    wrote(path, "torn", item if cut >= len(line) else None)
 
         messages = []
         handler = logging.Handler()
@@ -357,15 +393,15 @@ class TestLogs:
         storage_log = logging.getLogger("owse.storage")
         storage_log.addHandler(handler)
         try:
-            assert [r.url for r in UrlRepository(data_dir).scan()] == appended
-            assert OntologyRepository(data_dir).url_map() == latest
+            assert [r.url for r in UrlRepository(data_dir).scan()] == read(journal)
+            assert OntologyRepository(data_dir).url_map() == dict(read(manifest))
         finally:
             storage_log.removeHandler(handler)
         for path in (journal, manifest):
             warnings = [m for m in messages if m.startswith(str(path))]
             assert sum("malformed" in m for m in warnings) == malformed[path]
-            assert sum("torn trailing line" in m for m in warnings) == torn[path]
-            assert len(warnings) == malformed[path] + torn[path]
+            assert sum("torn trailing line" in m for m in warnings) == (tail[path] is TORN)
+            assert len(warnings) == malformed[path] + (tail[path] is TORN)
 
 def small_index():
     doc = DocEntry(

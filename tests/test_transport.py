@@ -15,9 +15,7 @@ import pytest
 
 from owse import transport
 from owse.errors import FetchError
-from owse.transport import BODY_CAP, MAX_REDIRECTS, USER_AGENT, HttpTransport
-
-REDIRECT_CODES = (301, 302, 303, 307, 308)
+from owse.transport import BODY_CAP, MAX_REDIRECTS, REDIRECT_CODES, USER_AGENT, HttpTransport
 
 
 def pattern(n: int) -> bytes:
@@ -31,6 +29,10 @@ class Handler(BaseHTTPRequestHandler):
     /loop           redirects to itself
     /no-location    302 without a Location header
     /to?<url>       302 to <url>
+    /moved/<code>   that status with Location /hop/0 and body "moved"
+    /two-types      200 with two Content-Type headers
+    /utf8, /tab, /query-only, /two-locations, /empty-location, /uri-only
+                    302 "moved" with their headers in ``redirects``
     /body/<n>       200 with n pattern bytes
     /status/<code>  that status with a short body
     /slow           answers after one second
@@ -41,6 +43,14 @@ class Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
     seen: list = []  # (request line, headers) per request, set by the fixture
+    redirects = {
+        "/utf8": [("Location", "/café x".encode().decode("latin-1"))],  # raw UTF-8 bytes
+        "/tab": [("Location", "/a\tb")],
+        "/query-only": [("Location", "?a=b c")],
+        "/two-locations": [("Location", "/hop/0"), ("Location", "/loop")],
+        "/empty-location": [("Location", "")],
+        "/uri-only": [("URI", "/hop/0")],
+    }
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
@@ -70,6 +80,12 @@ class Handler(BaseHTTPRequestHandler):
             self.answer(302, b"nowhere to go")
         elif path.startswith("/to?"):
             self.answer(302, headers=[("Location", path[len("/to?"):])])
+        elif path.startswith("/moved/"):
+            self.answer(int(path.rsplit("/", 1)[1]), b"moved", headers=[("Location", "/hop/0")])
+        elif path == "/two-types":
+            self.answer(200, b"ok", "application/rdf+xml", headers=[("Content-Type", "text/html")])
+        elif path in self.redirects:
+            self.answer(302, b"moved", headers=self.redirects[path])
         elif path.startswith("/body/"):
             self.answer(200, pattern(int(path.rsplit("/", 1)[1])), "application/octet-stream")
         elif path.startswith("/status/"):
@@ -152,6 +168,37 @@ class TestRedirects:
         assert response.body == b"nowhere to go"
         assert response.url == f"{server.url}/no-location"
 
+    @pytest.mark.parametrize("code, body", [(300, b"moved"), (304, b""), (305, b"moved")])
+    def test_other_3xx_is_a_response(self, server, code, body):
+        response = HttpTransport().get(f"{server.url}/moved/{code}")
+        assert (response.status, response.body) == (code, body)
+        assert response.url == f"{server.url}/moved/{code}"
+        assert len(server.request_lines) == 1
+
+    @pytest.mark.parametrize(
+        "path, target",
+        [
+            ("/utf8", "/caf%C3%A9%20x"),
+            ("/tab", "/ab"),
+            ("/query-only", "/query-only?a=b%20c"),
+            ("/two-locations", "/hop/0"),  # the first one
+        ],
+    )
+    def test_location_is_escaped_and_joined(self, server, path, target):
+        response = HttpTransport().get(f"{server.url}{path}")
+        assert server.request_lines == [f"GET {path} HTTP/1.1", f"GET {target} HTTP/1.1"]
+        assert response.url == f"{server.url}{target}"
+        assert response.status == 200
+
+    def test_empty_location_redirects_to_the_same_url(self, server):
+        assert fetch_error(f"{server.url}/empty-location").kind == "too-many-redirects"
+        assert len(server.request_lines) == MAX_REDIRECTS + 1
+
+    def test_uri_header_is_not_followed(self, server):
+        response = HttpTransport().get(f"{server.url}/uri-only")
+        assert (response.status, response.body) == (302, b"moved")
+        assert len(server.request_lines) == 1
+
     def test_redirect_to_file_is_refused(self, server, tmp_path):
         secret = tmp_path / "secret.txt"
         secret.write_text("local file")
@@ -187,6 +234,9 @@ class TestBody:
         assert response.body == f"status {code} body".encode()
         assert response.content_type == "text/plain"
 
+    def test_first_content_type_wins(self, server):
+        assert HttpTransport().get(f"{server.url}/two-types").content_type == "application/rdf+xml"
+
     def test_body_shorter_than_declared_is_a_read_error(self, server):
         assert fetch_error(f"{server.url}/short").kind == "read"
 
@@ -207,6 +257,11 @@ class TestFailures:
     def test_data_url_is_refused(self):
         assert fetch_error("data:,hello").kind == "connection"
 
+    @pytest.mark.parametrize("url", ["http://u:pw@host/", "http:///x", "https://"])
+    def test_url_without_a_usable_host_opens_nothing(self, monkeypatch, url):
+        monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: pytest.fail("connected"))
+        assert fetch_error(url).kind == "connection"
+
 
 class TestRequest:
     def test_headers(self, server):
@@ -214,6 +269,10 @@ class TestRequest:
         (_, headers), = Handler.seen
         assert headers["User-Agent"] == USER_AGENT
         assert headers["Accept"] == "*/*"
+
+    def test_each_request_asks_to_close_its_connection(self, server):
+        HttpTransport().get(f"{server.url}/hop/1")
+        assert [headers["Connection"] for _, headers in Handler.seen] == ["close", "close"]
 
     def test_space_and_non_ascii_are_percent_encoded(self, server):
         response = HttpTransport().get(f"{server.url}/a b/café.owl")
