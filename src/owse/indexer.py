@@ -85,7 +85,10 @@ class InvertedIndex:
         return len(self.doc_table)
 
     def df(self, term: str) -> int:
-        """Number of distinct documents containing ``term``."""
+        """Number of distinct documents containing ``term``.
+
+        No program code calls it (``search`` counts df as it scores); it
+        stays until ROADMAP item 6 deletes it, because perfbench wraps it."""
         return len({p.doc for p in self.postings.get(term, [])})
 
 

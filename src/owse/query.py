@@ -5,14 +5,17 @@ of idf(t) * sum_f w_f * log2(1 + tf), where idf(t) = log2(1 + N/(1+df))
 and w_f is the weight of the field the term occurred in. Matching is
 disjunctive: a document qualifies when any query term occurs in it.
 Results are ordered by score descending with URL as the tie-break.
+A query scores each posting of its terms once and builds hits only for
+the top k it returns; ``total_matching`` still counts every match.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
-from .indexer import FieldKind, InvertedIndex, Posting, tokenize
+from .indexer import FieldKind, InvertedIndex, tokenize
 
 
 @dataclass
@@ -41,33 +44,39 @@ def parse_query(raw: str) -> Query:
 
 
 def search(raw: str, index: InvertedIndex, top_k: int = 10) -> SearchResults:
-    """Rank every document matching at least one query term."""
+    """The ``top_k`` best documents matching at least one query term."""
+    if top_k < 0:
+        raise ValueError(f"top_k must be 0 or more, not {top_k}")
     query = parse_query(raw)
+    terms = [term for term in sorted(query.unique_terms) if index.postings.get(term)]
     per_doc: dict[int, float] = {}
-    per_doc_matches: dict[int, list[tuple[str, FieldKind, int]]] = {}
-
-    for term in sorted(query.unique_terms):
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        by_doc: dict[int, list[Posting]] = {}
-        for posting in plist:
-            by_doc.setdefault(posting.doc, []).append(posting)
+    for term in terms:
+        by_doc: dict[int, list[float]] = {}
+        for doc, kind, tf in index.postings[term]:
+            by_doc.setdefault(doc, []).append(kind.weight * math.log2(1 + tf))
         idf = math.log2(1 + index.doc_count / (1 + len(by_doc)))  # df = len(by_doc)
-        for doc, here in by_doc.items():
-            field_part = sum(p.field.weight * math.log2(1 + p.tf) for p in here)
-            per_doc[doc] = per_doc.get(doc, 0.0) + idf * field_part
-            per_doc_matches.setdefault(doc, []).extend((term, p.field, p.tf) for p in here)
+        for doc, parts in by_doc.items():
+            # sum(), as tests/oracle.py sums, not adding in turn: from Python
+            # 3.12 sum() compensates float rounding, so the two differ there
+            # by an ulp, which reorders near ties.
+            per_doc[doc] = per_doc.get(doc, 0.0) + idf * sum(parts)
 
+    candidates = [doc for doc, score in per_doc.items() if score > 0]
+    doc_table = index.doc_table
+    top = heapq.nsmallest(top_k, candidates, key=lambda doc: (-per_doc[doc], doc_table[doc].url))
+    matched: dict[int, list[tuple[str, FieldKind, int]]] = {doc: [] for doc in top}
+    for term in terms:
+        for doc, kind, tf in index.postings[term]:
+            here = matched.get(doc)
+            if here is not None:
+                here.append((term, kind, tf))
     hits = [
         ScoredHit(
-            url=index.doc_table[doc].url,
-            blob_id=index.doc_table[doc].blob_id,
-            score=score,
-            matched=per_doc_matches[doc],
+            url=doc_table[doc].url,
+            blob_id=doc_table[doc].blob_id,
+            score=per_doc[doc],
+            matched=matched[doc],
         )
-        for doc, score in per_doc.items()
-        if score > 0
+        for doc in top
     ]
-    hits.sort(key=lambda h: (-h.score, h.url))
-    return SearchResults(hits=hits[:top_k], total_matching=len(hits), query=query)
+    return SearchResults(hits=hits, total_matching=len(candidates), query=query)

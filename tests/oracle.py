@@ -71,18 +71,16 @@ def brute_force_search(
     n = len(docs)
     terms = sorted(set(tokenize(raw_query)))
 
-    def doc_frequency(term: str) -> int:
-        return sum(1 for counts in docs if any(counts[f][term] for f in FIELDS))
+    df = {term: sum(1 for counts in docs if any(counts[f][term] for f in FIELDS)) for term in terms}
 
     scored = []
     for summary, counts in zip(summaries, docs):
         score = 0.0
         for term in terms:
-            df = doc_frequency(term)
             present = [(f, counts[f][term]) for f in FIELDS if counts[f][term] > 0]
             if not present:
                 continue
-            idf = math.log2(1 + n / (1 + df))
+            idf = math.log2(1 + n / (1 + df[term]))
             score += idf * sum(WEIGHTS[f] * math.log2(1 + tf) for f, tf in present)
         if score > 0:
             scored.append((summary.source_url, score))

@@ -1,11 +1,84 @@
-import pytest
+import math
 
-from owse.indexer import FieldKind, build_index
-from owse.query import parse_query, search
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from owse.indexer import DocEntry, FieldKind, InvertedIndex, Posting, build_index
+from owse.query import ScoredHit, SearchResults, parse_query, search
 
 from support import make_summary
 
 from oracle import brute_force_search
+
+
+def reference_search(raw: str, index: InvertedIndex, top_k: int = 10) -> SearchResults:
+    """search() as it was before it kept only the top k: every posting
+    grouped by document, a hit built for every match, all hits sorted."""
+    query = parse_query(raw)
+    per_doc: dict[int, float] = {}
+    per_doc_matches: dict[int, list[tuple[str, FieldKind, int]]] = {}
+
+    for term in sorted(query.unique_terms):
+        plist = index.postings.get(term)
+        if not plist:
+            continue
+        by_doc: dict[int, list[Posting]] = {}
+        for posting in plist:
+            by_doc.setdefault(posting.doc, []).append(posting)
+        idf = math.log2(1 + index.doc_count / (1 + len(by_doc)))
+        for doc, here in by_doc.items():
+            field_part = sum(p.field.weight * math.log2(1 + p.tf) for p in here)
+            per_doc[doc] = per_doc.get(doc, 0.0) + idf * field_part
+            per_doc_matches.setdefault(doc, []).extend((term, p.field, p.tf) for p in here)
+
+    hits = [
+        ScoredHit(
+            url=index.doc_table[doc].url,
+            blob_id=index.doc_table[doc].blob_id,
+            score=score,
+            matched=per_doc_matches[doc],
+        )
+        for doc, score in per_doc.items()
+        if score > 0
+    ]
+    hits.sort(key=lambda h: (-h.score, h.url))
+    return SearchResults(hits=hits[:top_k], total_matching=len(hits), query=query)
+
+
+# A small vocabulary, so terms collide across fields and documents and
+# equal scores tie across URLs; the URL words are in it too.
+WORDS = ["author", "book", "pizza", "has", "name"]
+URLS = [f"http://{host}.test/{path}" for host in ("aa", "bb") for path in ("book", "pizza", "x1", "x2")]
+IRIS = ["", "http://onto.test/pizza", "http://onto.test/hasAuthor"]
+
+
+def camel(words: list[str]) -> str:
+    return words[0] + "".join(word.capitalize() for word in words[1:])
+
+
+local_names = st.lists(st.sampled_from(WORDS + ["Pizza"]), min_size=1, max_size=3).map(camel)
+texts = st.lists(st.sampled_from(WORDS), max_size=4).map(" ".join)
+
+
+@st.composite
+def corpora(draw):
+    return [
+        make_summary(
+            url,
+            class_names=draw(st.lists(local_names, max_size=3)),
+            property_names=draw(st.lists(local_names, max_size=2)),
+            labels=draw(st.lists(texts, max_size=2)),
+            comments=draw(st.lists(texts, max_size=2)),
+            ontology_iri=draw(st.sampled_from(IRIS)),
+        )
+        for url in draw(st.lists(st.sampled_from(URLS), min_size=1, unique=True))
+    ]
+
+
+# Vocabulary words, camelCase forms of them and terms no document holds.
+query_words = st.one_of(st.sampled_from(WORDS + ["zzzz", "nothing", "http"]), local_names)
+queries = st.lists(query_words, max_size=4).map(" ".join)
 
 
 def three_doc_corpus():
@@ -126,6 +199,48 @@ class TestSearch:
         single_a = search("author", index).hits[0].score
         single_b = search("one", index).hits[0].score
         assert combined == pytest.approx(single_a + single_b, rel=1e-12)
+
+    def test_negative_top_k_is_refused(self):
+        index = build_index(three_doc_corpus())
+        with pytest.raises(ValueError, match="top_k"):
+            search("author bird cactus", index, top_k=-2)
+
+    def test_document_scoring_zero_is_not_a_match(self):
+        # load_index refuses tf 0, but a hand-built index may hold one.
+        index = InvertedIndex(
+            doc_table=[DocEntry(c * 64, f"http://h/{c}", 1, 0, 0, 0) for c in "01"],
+            postings={"pizza": [Posting(0, FieldKind.LABEL, 0), Posting(1, FieldKind.LABEL, 2)]},
+        )
+        results = search("pizza", index)
+        assert [hit.url for hit in results.hits] == ["http://h/1"]
+        assert results.total_matching == 1
+        assert results == reference_search("pizza", index)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_reference_model_and_oracle(self, data):
+        summaries = data.draw(corpora())
+        raw = data.draw(queries)
+        top_k = data.draw(st.integers(0, len(summaries) + 1))
+        index = build_index(summaries)
+        shuffled = data.draw(st.booleans())
+        if shuffled:
+            rng = data.draw(st.randoms(use_true_random=False))
+            postings = {term: rng.sample(plist, len(plist)) for term, plist in index.postings.items()}
+            index = InvertedIndex(doc_table=index.doc_table, postings=postings)
+
+        results = search(raw, index, top_k=top_k)
+        assert results == reference_search(raw, index, top_k=top_k)
+
+        expected, total = brute_force_search(summaries, raw, top_k=top_k)
+        assert results.total_matching == total
+        assert [hit.score for hit in results.hits] == pytest.approx([s for _, s in expected], abs=1e-9)
+        every = dict(brute_force_search(summaries, raw, top_k=len(summaries))[0])
+        for hit in results.hits:
+            assert hit.score == pytest.approx(every[hit.url], abs=1e-9)
+        if not shuffled:
+            # Summed in field order, as the oracle sums: ties order by URL alike.
+            assert [hit.url for hit in results.hits] == [url for url, _ in expected]
 
     def test_agrees_with_brute_force_oracle(self):
         summaries = three_doc_corpus()
