@@ -87,11 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _require_data_dir(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Path:
+    """The store directory, not created here: ``crawl`` and ``index``
+    create it, ``query`` and ``stats`` only read."""
     if not args.data_dir:
         parser.error("--data-dir is required (or set OWSE_DATA_DIR)")
-    path = Path(args.data_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(args.data_dir)
 
 
 def cmd_crawl(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -110,6 +110,7 @@ def cmd_crawl(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     )
     config.validate()  # before any store directory is created
     data_dir = _require_data_dir(args, parser)
+    data_dir.mkdir(parents=True, exist_ok=True)
     report = crawler.crawl(
         config,
         transport=HttpTransport(),

@@ -111,38 +111,16 @@ def tokenize(text: str) -> list[str]:
     return [piece.lower() for piece in _PIECE.findall(text) if len(piece) >= MIN_TOKEN_LEN]
 
 
-def index_ontology(summary: OntologySummary, ordinal: int) -> list[tuple[str, Posting]]:
-    """Term/posting pairs for one ontology, tf aggregated per field, in
-    (term, field rank) order.
-
-    Each field's texts are tokenized in one call, joined by a space,
-    which never joins two terms."""
-    elements = summary.classes + summary.properties
-    fields = [
-        (FieldKind.CLASS_NAME, [e.local_name for e in summary.classes]),
-        (FieldKind.PROPERTY_NAME, [e.local_name for e in summary.properties]),
-        (FieldKind.LABEL, [label for e in elements for label in e.labels]),
-        (FieldKind.COMMENT, [comment for e in elements for comment in e.comments]),
-        (FieldKind.ONTOLOGY_IRI, [summary.ontology_iri, summary.source_url]),
-    ]
-    counted = [(kind, Counter(tokenize(" ".join(texts)))) for kind, texts in fields]
-    new_posting = tuple.__new__  # Posting(...) without its Python-level __new__
-    return [
-        (term, new_posting(Posting, (ordinal, kind, tf)))
-        for term in sorted(set().union(*[counts for _, counts in counted]))
-        for kind, counts in counted
-        if (tf := counts.get(term))
-    ]
-
-
 @contextmanager
 def _collector_paused() -> Iterator[None]:
     """Cyclic collector off for the decorated call, the caller's state put
-    back after. Indexing and index loading allocate objects by the
-    hundred thousand (a tuple per posting, 157k for 1000 documents) and
-    make no reference cycles: after a whole ``run_indexer`` with the
-    collector off, a collection finds nothing unreachable. The
-    collections these allocations set off only cost time."""
+    back after. It decorates the four entry points that allocate objects
+    by the hundred thousand: ``build_index`` and ``load_index`` (a tuple
+    per posting, 157k for 1000 documents), ``save_index`` (a row list per
+    posting) and ``run_indexer``. None of them makes reference cycles:
+    after a whole ``run_indexer`` with the collector off, a collection
+    finds nothing unreachable. The collections these allocations set off
+    only cost time."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -156,28 +134,63 @@ def _collector_paused() -> Iterator[None]:
 def build_index(summaries: list[OntologySummary]) -> InvertedIndex:
     """Inverted index over ``summaries``; ordinals follow input order.
 
-    Posting lists come out in (doc, field rank) order: ordinals rise and
-    ``index_ontology`` emits each term's postings in field order."""
+    Each field's texts are tokenized in one call, joined by a space,
+    which never joins two terms, and tf is counted per field. Postings
+    are appended document by document and, within one, field by field in
+    declaration order, so every posting list comes out in (doc, field
+    rank) order without a sort. ``postings`` holds terms in first-seen
+    order; ``save_index`` sorts them and ``==`` ignores key order."""
     index = InvertedIndex()
+    add = index.postings.setdefault
+    new_posting = tuple.__new__  # Posting(...) without its Python-level __new__
     for ordinal, summary in enumerate(summaries):
+        classes, properties = summary.classes, summary.properties
         index.doc_table.append(
             DocEntry(
                 blob_id=summary.blob_id,
                 url=summary.source_url,
                 size_bytes=summary.size_bytes,
-                class_count=len(summary.classes),
-                property_count=len(summary.properties),
+                class_count=len(classes),
+                property_count=len(properties),
                 relation_count=len(summary.relations),
             )
         )
-        for term, posting in index_ontology(summary, ordinal):
-            index.postings.setdefault(term, []).append(posting)
+        elements = classes + properties
+        fields = (
+            (FieldKind.CLASS_NAME, [e.local_name for e in classes]),
+            (FieldKind.PROPERTY_NAME, [e.local_name for e in properties]),
+            (FieldKind.LABEL, [label for e in elements for label in e.labels]),
+            (FieldKind.COMMENT, [comment for e in elements for comment in e.comments]),
+            (FieldKind.ONTOLOGY_IRI, [summary.ontology_iri, summary.source_url]),
+        )
+        for kind, texts in fields:
+            for term, tf in Counter(tokenize(" ".join(texts))).items():
+                add(term, []).append(new_posting(Posting, (ordinal, kind, tf)))
     return index
 
 
+@_collector_paused()
 def save_index(index: InvertedIndex, path: str | Path) -> None:
     """Write ``index`` as canonical JSON: version field first, term keys
-    and posting lists sorted, so equal indexes produce identical bytes."""
+    and posting lists sorted, so equal indexes produce identical bytes.
+
+    A list already in (doc, field rank) order, as ``build_index`` and
+    ``load_index`` give every list, is written as it is; any other is
+    sorted stably first."""
+    name_by_rank = {kind.rank: kind.value for kind in FieldKind}
+
+    def rows(plist: list[Posting]) -> list[list]:
+        out = []
+        last = ()  # sorts before every (doc, rank) key
+        for doc, kind, tf in plist:
+            rank = kind.rank
+            key = (doc, rank)
+            if key < last:
+                return rows(sorted(plist, key=lambda p: (p.doc, p.field.rank)))
+            last = key
+            out.append([doc, name_by_rank[rank], tf])
+        return out
+
     payload = {
         "version": INDEX_VERSION,
         "totals": {"docs": index.doc_count},
@@ -192,13 +205,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
             }
             for entry in index.doc_table
         ],
-        "postings": {
-            term: [
-                [p.doc, p.field.value, p.tf]
-                for p in sorted(index.postings[term], key=lambda p: (p.doc, p.field.rank))
-            ]
-            for term in sorted(index.postings)
-        },
+        "postings": {term: rows(index.postings[term]) for term in sorted(index.postings)},
     }
     text = json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
     path = Path(path)
@@ -226,7 +233,7 @@ def load_index(path: str | Path) -> InvertedIndex:
         raise NotFound(f"index not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise CorruptIndex(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise CorruptIndex(f"{path}: not a JSON object")
@@ -305,11 +312,13 @@ def run_indexer(data_dir: str | Path, transport: Transport) -> IndexReport:
     Bytes come from the ontology repository when the crawler already
     stored them, otherwise they are fetched (and stored) now. Documents
     that cannot be fetched or parsed are skipped with a warning; the run
-    itself only fails on store-level I/O errors.
+    itself only fails on store-level I/O errors. ``data_dir`` is created
+    if it is missing.
     """
     from .storage import OntologyRepository, UrlRepository
 
     data_dir = Path(data_dir)
+    data_dir.mkdir(parents=True, exist_ok=True)
     url_repo = UrlRepository(data_dir)
     ontology_repo = OntologyRepository(data_dir)
     url_to_blob = ontology_repo.url_map()

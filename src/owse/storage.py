@@ -14,6 +14,10 @@ record short of only its newline, and skip it with a warning otherwise.
 Readers also skip, with a warning, a line that is not a record, such as a
 manifest line without a string id and source_url. A re-crawl re-stores a
 journaled URL whose stored object is missing or corrupt.
+
+Constructing a repository and reading it create nothing: a store's
+directories are made by its first write, so ``owse stats`` leaves a
+missing data directory missing.
 """
 
 from __future__ import annotations
@@ -95,7 +99,14 @@ def _append_line(path: Path, line: str) -> None:
     """Append ``line`` and its newline to a log in one write call. A last
     line torn by a crashed writer is ended first, in the same call, so
     readers keep this one and read the torn one as the line it now is."""
-    with open(path, "ab+") as handle:
+    try:
+        handle = open(path, "ab+")
+    except FileNotFoundError:  # the log's first append makes its directory
+        if path.parent.is_dir():
+            raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return _append_line(path, line)
+    with handle:
         handle.seek(max(handle.tell() - 1, 0))  # to the last byte, if any
         torn = handle.read(1) not in (b"", b"\n")
         handle.write(b"\n" * torn + (line + "\n").encode("utf-8"))
@@ -105,8 +116,9 @@ def _read_lines(path: Path, parse: Callable[[str], object], what: str) -> list:
     """``parse`` of each line of a log, in order, and of a trailing chunk
     without its newline, torn by a crashed writer. A record is one flat
     JSON object, so ``parse`` accepts such a chunk only when the crash cut
-    nothing but its newline. What ``parse`` refuses is skipped with a
-    warning, never an error.
+    nothing but its newline. What ``parse`` refuses, including JSON
+    nested too deeply for ``json.loads``, is skipped with a warning, never
+    an error.
     """
     if not path.exists():
         return []
@@ -115,7 +127,7 @@ def _read_lines(path: Path, parse: Callable[[str], object], what: str) -> list:
     for lineno, line in enumerate([*lines, tail] if tail else lines, 1):
         try:
             items.append(parse(line))
-        except (ValueError, InvalidRecord) as exc:
+        except (ValueError, RecursionError, InvalidRecord) as exc:
             if lineno > len(lines):
                 log.warning("%s: skipping torn trailing line %d", path, lineno)
             else:
@@ -137,7 +149,6 @@ class UrlRepository:
 
     def __init__(self, data_dir: str | Path):
         self.path = Path(data_dir) / JOURNAL_NAME
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._seen: set[str] | None = None  # read from the journal on first use
 
     def _seen_urls(self) -> set[str]:
@@ -183,7 +194,6 @@ class OntologyRepository:
         root = Path(data_dir) / ONTOLOGY_DIR
         self.objects_dir = root / "objects"
         self.manifest_path = root / "manifest.jsonl"
-        self.objects_dir.mkdir(parents=True, exist_ok=True)
 
     def _object_path(self, blob_id: str) -> Path:
         return self.objects_dir / f"{blob_id}.rdf"
@@ -200,7 +210,11 @@ class OntologyRepository:
         blob_id = hashlib.sha256(data).hexdigest()
         path = self._object_path(blob_id)
         tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(data)
+        try:
+            tmp.write_bytes(data)
+        except FileNotFoundError:  # the first put makes the directory
+            self.objects_dir.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(data)
         os.replace(tmp, path)
         line = json.dumps(
             {"id": blob_id, "source_url": source_url, "fetched_at": utc_now(), "size": len(data)},

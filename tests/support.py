@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import strategies as st
 
 from owse.errors import CorruptIndex, FetchError, NotFound, VersionMismatch
 from owse.fixture_server import CONTENT_TYPES, DEFAULT_CONTENT_TYPE
-from owse.indexer import INDEX_VERSION, DocEntry, FieldKind, InvertedIndex, Posting
+from owse.indexer import INDEX_VERSION, DocEntry, FieldKind, InvertedIndex, Posting, tokenize
 from owse.ontology import ElementKind, OntologyElement, OntologySummary
 from owse.transport import FetchResponse
 
@@ -229,7 +231,7 @@ def reference_load_index(path: str | Path) -> InvertedIndex:
         raise NotFound(f"index not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CorruptIndex(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise CorruptIndex(f"{path}: not a JSON object")
@@ -289,3 +291,69 @@ def reference_load_index(path: str | Path) -> InvertedIndex:
         postings[term] = plist
 
     return InvertedIndex(doc_table=doc_table, postings=postings)
+
+
+def reference_build_index(summaries: list[OntologySummary]) -> InvertedIndex:
+    """The straightforward index builder: per document, the union of its
+    fields' terms in sorted order, each term's postings in field order.
+    ``owse.indexer.build_index`` appends postings field by field instead
+    and must give equal posting lists, each in the same order."""
+    index = InvertedIndex()
+    for ordinal, summary in enumerate(summaries):
+        index.doc_table.append(
+            DocEntry(
+                blob_id=summary.blob_id,
+                url=summary.source_url,
+                size_bytes=summary.size_bytes,
+                class_count=len(summary.classes),
+                property_count=len(summary.properties),
+                relation_count=len(summary.relations),
+            )
+        )
+        elements = summary.classes + summary.properties
+        fields = [
+            (FieldKind.CLASS_NAME, [e.local_name for e in summary.classes]),
+            (FieldKind.PROPERTY_NAME, [e.local_name for e in summary.properties]),
+            (FieldKind.LABEL, [label for e in elements for label in e.labels]),
+            (FieldKind.COMMENT, [comment for e in elements for comment in e.comments]),
+            (FieldKind.ONTOLOGY_IRI, [summary.ontology_iri, summary.source_url]),
+        ]
+        counted = [(kind, Counter(tokenize(" ".join(texts)))) for kind, texts in fields]
+        for term in sorted(set().union(*[counts for _, counts in counted])):
+            for kind, counts in counted:
+                if tf := counts.get(term):
+                    index.postings.setdefault(term, []).append(Posting(ordinal, kind, tf))
+    return index
+
+
+def reference_save_index(index: InvertedIndex, path: str | Path) -> None:
+    """The straightforward index writer: every posting list sorted by
+    (doc, field rank), stably. ``owse.indexer.save_index`` sorts only
+    lists out of that order and must write the same bytes."""
+    payload = {
+        "version": INDEX_VERSION,
+        "totals": {"docs": index.doc_count},
+        "doc_table": [
+            {
+                "id": entry.blob_id,
+                "url": entry.url,
+                "size_bytes": entry.size_bytes,
+                "classes": entry.class_count,
+                "properties": entry.property_count,
+                "relations": entry.relation_count,
+            }
+            for entry in index.doc_table
+        ],
+        "postings": {
+            term: [
+                [p.doc, p.field.value, p.tf]
+                for p in sorted(index.postings[term], key=lambda p: (p.doc, p.field.rank))
+            ]
+            for term in sorted(index.postings)
+        },
+    }
+    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
+    path = Path(path)
+    tmp = path.with_suffix(".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)

@@ -94,6 +94,40 @@ class TestQueryAndStats:
             "  skipped urn:x:y: fetch failed: connection",
         ]
 
+    def test_query_deeply_nested_index_exits_1(self, tmp_path, capsys):
+        (tmp_path / INDEX_NAME).write_text("[" * 200_000 + "]" * 200_000)
+        assert run_cli("query", "--data-dir", str(tmp_path), "book") == 1
+        assert capsys.readouterr().err.startswith("unusable index: ")
+
+    def test_deeply_nested_journal_line_is_skipped(self, tmp_path, capsys):
+        url = "http://fixture.test/onts/library.rdf"
+        OntologyRepository(tmp_path).put((WEBROOT / "onts" / "library.rdf").read_bytes(), source_url=url)
+        UrlRepository(tmp_path).append(UrlRecord(url=url))
+        with open(tmp_path / "urls.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("[" * 200_000 + "]" * 200_000 + "\n")
+        assert run_cli("stats", "--data-dir", str(tmp_path)) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "urls: 1"
+        assert run_cli("index", "--data-dir", str(tmp_path)) == 0
+        assert capsys.readouterr().out.splitlines() == ["indexed: 1 skipped: 0"]
+
+    @pytest.mark.parametrize("argv", [["query", "book"], ["stats"]])
+    def test_read_only_commands_create_nothing(self, tmp_path, capsys, argv):
+        missing, empty = tmp_path / "missing" / "a", tmp_path / "empty"
+        empty.mkdir()
+        outcomes = []
+        for data_dir in (missing, empty):
+            code = run_cli(argv[0], "--data-dir", str(data_dir), *argv[1:])
+            outcomes.append((code, *capsys.readouterr()))
+        assert not missing.parent.exists()
+        assert list(empty.iterdir()) == []
+        if argv[0] == "query":
+            assert outcomes == [
+                (1, "", f"index not found: {data_dir / INDEX_NAME}\n") for data_dir in (missing, empty)
+            ]
+        else:
+            zeros = "urls: 0\nblobs: 0\ndocs: 0\nterms: 0\npostings: 0\n"
+            assert outcomes == [(0, zeros, "")] * 2
+
     def test_query_index_with_a_list_url_exits_1(self, tmp_path, capsys):
         # Two tied hits are ordered by URL, which must be a string.
         row = {"id": "a" * 64, "size_bytes": 1, "classes": 1, "properties": 0, "relations": 0}
@@ -227,6 +261,7 @@ class TestStaleTmpFiles:
         data = (WEBROOT / "onts" / "library.rdf").read_bytes()
         blob_id = hashlib.sha256(data).hexdigest()
         repo = OntologyRepository(tmp_path)
+        repo.objects_dir.mkdir(parents=True)
         (repo.objects_dir / f"{blob_id}.tmp").write_bytes(data[:100])
         (tmp_path / "index.tmp").write_text('{"version": 1, "docs": [{"bl')
 

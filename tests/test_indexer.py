@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from owse import indexer, storage
 from owse.indexer import (
     FieldKind,
+    Posting,
     build_index,
-    index_ontology,
     load_index,
     run_indexer,
     save_index,
@@ -32,6 +32,8 @@ from support import (
     UNSUPPORTED_RDF,
     StaticTransport,
     make_summary,
+    reference_build_index,
+    reference_save_index,
     static_site_from,
 )
 
@@ -62,7 +64,7 @@ texts = st.one_of(
 
 
 @st.composite
-def summaries(draw):
+def summaries(draw, texts=texts):
     def elements(kind):
         return [
             OntologyElement(
@@ -117,10 +119,17 @@ class TestTokenize:
         assert tokenize(" ".join(once)) == once
 
 
-class TestIndexOntology:
+def document_postings(summary):
+    """(term, posting) pairs of the one-document index over ``summary``,
+    in (term, field rank) order."""
+    postings = build_index([summary]).postings
+    return [(term, posting) for term in sorted(postings) for posting in postings[term]]
+
+
+class TestDocumentPostings:
     def test_single_class(self):
         summary = make_summary("http://x/o.owl", class_names=["Pizza"])
-        pairs = index_ontology(summary, ordinal=0)
+        pairs = document_postings(summary)
         class_postings = [(t, p) for t, p in pairs if p.field is FieldKind.CLASS_NAME]
         assert class_postings == [("pizza", (0, FieldKind.CLASS_NAME, 1))]
         iri_terms = {t for t, p in pairs if p.field is FieldKind.ONTOLOGY_IRI}
@@ -130,33 +139,75 @@ class TestIndexOntology:
         summary = make_summary(
             "http://x/o.owl", class_names=["PizzaTopping"], labels=["pizza topping"]
         )
-        pairs = index_ontology(summary, ordinal=3)
+        pairs = document_postings(summary)
         pizza = [(p.field, p.tf) for t, p in pairs if t == "pizza"]
         assert pizza == [(FieldKind.CLASS_NAME, 1), (FieldKind.LABEL, 1)]
-        assert all(p.doc == 3 for _, p in pairs)
+        assert all(p.doc == 0 for _, p in pairs)
 
     def test_empty_summary_yields_only_iri_postings(self):
         summary = make_summary("http://x/o.owl")
-        pairs = index_ontology(summary, ordinal=0)
+        pairs = document_postings(summary)
         assert pairs
         assert all(p.field is FieldKind.ONTOLOGY_IRI for _, p in pairs)
 
     def test_tf_aggregates_repeats_within_field(self):
         summary = make_summary("http://x/o.owl", class_names=["PizzaBase", "PizzaTopping"])
-        pairs = dict(index_ontology(summary, ordinal=0))
+        pairs = dict(document_postings(summary))
         assert pairs["pizza"].tf == 2
 
     @settings(max_examples=200, deadline=None)
-    @given(summaries(), st.integers(min_value=0, max_value=5))
-    def test_equals_per_element_recount(self, summary, ordinal):
+    @given(summaries())
+    def test_equals_per_element_recount(self, summary):
         counts = oracle.field_counts(summary)
         expected = [
-            (term, (ordinal, kind, counts[kind.value][term]))
+            (term, (0, kind, counts[kind.value][term]))
             for term in sorted(set().union(*counts.values()))
             for kind in FieldKind
             if counts[kind.value][term]
         ]
-        assert index_ontology(summary, ordinal) == expected
+        assert document_postings(summary) == expected
+
+
+# Words that collide across fields and documents, in camelCase and
+# uppercase runs, and the empty text.
+COLLIDING_WORDS = ["pizza", "Pizza", "pizzaTopping", "PizzaBase", "hasBase", "base", "HTTPServer", "x1", ""]
+colliding_texts = st.lists(st.sampled_from(COLLIDING_WORDS), max_size=4).map(" ".join)
+corpora = st.lists(summaries(st.one_of(colliding_texts, colliding_texts, texts)), max_size=5)
+
+
+class TestWritePathReference:
+    """build_index and save_index against the straightforward builder and
+    writer in tests/support.py, which sort where the engine does not."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpora)
+    def test_build_equals_reference(self, corpus):
+        index = build_index(corpus)
+        assert index == reference_build_index(corpus)  # every posting list, in order
+        assert all(type(p) is Posting for plist in index.postings.values() for p in plist)
+
+    @settings(max_examples=50, deadline=None)
+    @given(corpus=corpora)
+    def test_saved_bytes_equal_reference(self, corpus, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("idx")
+        save_index(build_index(corpus), directory / "a.json")
+        reference_save_index(reference_build_index(corpus), directory / "b.json")
+        assert (directory / "a.json").read_bytes() == (directory / "b.json").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpus=corpora, data=st.data())
+    def test_hand_built_lists_save_as_reference(self, corpus, data, tmp_path_factory):
+        # Posting lists in any order, and with postings repeating a
+        # (doc, field) pair, which save_index sorts stably and keeps.
+        index = build_index(corpus)
+        for term, plist in index.postings.items():
+            repeats = data.draw(st.lists(st.tuples(st.sampled_from(plist), st.integers(1, 9)), max_size=3))
+            plist += [Posting(p.doc, p.field, tf) for p, tf in repeats]
+            index.postings[term] = data.draw(st.permutations(plist))
+        directory = tmp_path_factory.mktemp("idx")
+        save_index(index, directory / "a.json")
+        reference_save_index(index, directory / "b.json")
+        assert (directory / "a.json").read_bytes() == (directory / "b.json").read_bytes()
 
 
 class TestBuildIndex:
@@ -320,10 +371,10 @@ class TestRunIndexer:
             (gc.enable if was_enabled else gc.disable)()
 
     def test_empty_journal_persists_empty_index(self, tmp_path, webroot):
-        UrlRepository(tmp_path)  # creates an empty journal directory
-        report = run_indexer(tmp_path, static_site_from(webroot))
+        data_dir = tmp_path / "fresh"  # created by run_indexer
+        report = run_indexer(data_dir, static_site_from(webroot))
         assert report.indexed == 0
-        assert load_index(tmp_path / "index.json").doc_count == 0
+        assert load_index(data_dir / "index.json").doc_count == 0
 
     def test_uses_stored_blobs_without_fetching(self, tmp_path, webroot):
         from owse.storage import OntologyRepository

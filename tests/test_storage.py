@@ -33,6 +33,10 @@ from support import index_snapshots, reference_load_index
 from test_urls import NOISE, REF_HEADS, REF_PIECES
 
 
+# A line json.loads refuses with RecursionError, not ValueError.
+DEEPLY_NESTED = "[" * 200_000 + "]" * 200_000
+
+
 def record(url, depth=1):
     return UrlRecord(url=url, referrer="http://a/", depth=depth, discovered_at="2026-01-01T00:00:00Z")
 
@@ -137,6 +141,15 @@ class TestUrlRepository:
         assert [r.url for r in records] == ["http://a/1.owl", "http://a/2.owl"]
         assert any("torn" in message for message in caplog.messages)
 
+    def test_deeply_nested_torn_tail_is_skipped_with_warning(self, tmp_path, caplog):
+        UrlRepository(tmp_path).append(record("http://a/1.owl"))
+        with open(tmp_path / "urls.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(DEEPLY_NESTED)  # no newline: torn
+        with caplog.at_level("WARNING"):
+            assert [r.url for r in UrlRepository(tmp_path).scan()] == ["http://a/1.owl"]
+        [message] = caplog.messages
+        assert "torn trailing line 2" in message
+
     def test_malformed_middle_line_reported_scan_continues(self, tmp_path, caplog):
         repo = UrlRepository(tmp_path)
         repo.append(record("http://a/1.owl"))
@@ -188,6 +201,7 @@ class TestUrlRepository:
             '{"url": "http://a/x.owl", "depth": 1, "discovered_at": 5}',
             '{"url": "http://a/x.owl", "depth": 1}',
             '{"url": "http://a/x.owl", "depth": 1, "discovered_at": "t", "kind": null}',
+            pytest.param(DEEPLY_NESTED, id="deeply-nested"),
         ],
     )
     def test_line_that_is_not_a_record_is_skipped_with_warning(self, tmp_path, caplog, line):
@@ -298,6 +312,7 @@ class TestOntologyRepository:
             json.dumps({"id": "ab"}),
             json.dumps({"source_url": ["http://a/x.owl"], "id": "ab"}),
             json.dumps({"source_url": "http://a/x.owl", "id": 5}),
+            pytest.param(DEEPLY_NESTED, id="deeply-nested"),
         ],
     )
     def test_manifest_entry_that_is_not_an_object_is_skipped(self, tmp_path, caplog, line):
@@ -327,6 +342,20 @@ log_ops = st.lists(
 )
 
 
+def test_reading_a_missing_store_creates_nothing(tmp_path):
+    data_dir = tmp_path / "missing"
+    urls, ontologies = UrlRepository(data_dir), OntologyRepository(data_dir)
+    assert (urls.scan(), len(urls), ontologies.manifest(), ontologies.url_map(), ontologies.count()) == ([], 0, [], {}, 0)
+    with pytest.raises(NotFound):
+        ontologies.get("ab")
+    assert not data_dir.exists()
+    # The first write of each store makes its directories.
+    assert urls.append(record("http://a/x.owl")) is True
+    blob_id = ontologies.put(b"v1", source_url="http://a/x.owl")
+    assert [r.url for r in UrlRepository(data_dir).scan()] == ["http://a/x.owl"]
+    assert OntologyRepository(data_dir).get(blob_id) == b"v1"
+
+
 class TestLogs:
     """The journal and the manifest under writes, malformed lines and
     chunks torn by a crashed writer, each write by a fresh repository."""
@@ -339,6 +368,7 @@ class TestLogs:
         data_dir = tmp_path_factory.mktemp("logs")
         journal = data_dir / "urls.jsonl"
         manifest = OntologyRepository(data_dir).manifest_path
+        manifest.parent.mkdir()  # made by a first put, which a malformed line may precede
         kept = {journal: [], manifest: []}  # items of the lines each reader keeps
         malformed = {journal: 0, manifest: 0}  # lines each reader must skip
         tail = {journal: None, manifest: None}  # after the last newline: None, TORN or a whole item
@@ -476,6 +506,13 @@ class TestIndexStore:
         path.write_text("***")
         with pytest.raises(CorruptIndex):
             load_index(path)
+
+    def test_deeply_nested_json_is_corrupt(self, tmp_path):
+        path = tmp_path / "index.json"
+        path.write_text(DEEPLY_NESTED)
+        for load in (load_index, reference_load_index):
+            with pytest.raises(CorruptIndex):
+                load(path)
 
     def test_posting_ordinal_out_of_range_is_corrupt(self, tmp_path):
         path = tmp_path / "index.json"
@@ -644,6 +681,33 @@ class TestLoadIndex:
         path.write_text(json.dumps(payload))
         with pytest.raises(CorruptIndex):
             load_index(path)
+
+
+class TestSaveIndexGc:
+    """save_index turns the cyclic collector off while it runs and puts
+    the caller's state back."""
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_off_during_save_then_restored(self, tmp_path, monkeypatch, enabled):
+        seen = []
+        real_dumps = json.dumps
+
+        def dumps(payload, **kwargs):
+            seen.append(gc.isenabled())
+            return real_dumps(payload, **kwargs)
+
+        monkeypatch.setattr(indexer.json, "dumps", dumps)
+        (gc.enable if enabled else gc.disable)()
+        save_index(small_index(), tmp_path / "index.json")
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+        assert load_index(tmp_path / "index.json") == small_index()
 
 
 class TestLoadIndexGc:
