@@ -172,24 +172,15 @@ def build_index(summaries: list[OntologySummary]) -> InvertedIndex:
 @_collector_paused()
 def save_index(index: InvertedIndex, path: str | Path) -> None:
     """Write ``index`` as canonical JSON: version field first, term keys
-    and posting lists sorted, so equal indexes produce identical bytes.
-
-    A list already in (doc, field rank) order, as ``build_index`` and
-    ``load_index`` give every list, is written as it is; any other is
-    sorted stably first."""
+    sorted and each posting list sorted stably by (doc, field rank), so
+    equal indexes produce identical bytes."""
     name_by_rank = {kind.rank: kind.value for kind in FieldKind}
 
     def rows(plist: list[Posting]) -> list[list]:
-        out = []
-        last = ()  # sorts before every (doc, rank) key
-        for doc, kind, tf in plist:
-            rank = kind.rank
-            key = (doc, rank)
-            if key < last:
-                return rows(sorted(plist, key=lambda p: (p.doc, p.field.rank)))
-            last = key
-            out.append([doc, name_by_rank[rank], tf])
-        return out
+        return [
+            [p.doc, name_by_rank[p.field.rank], p.tf]
+            for p in sorted(plist, key=lambda p: (p.doc, p.field.rank))
+        ]
 
     payload = {
         "version": INDEX_VERSION,

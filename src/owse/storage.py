@@ -29,12 +29,13 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .errors import CorruptObject, EmptyDocument, InvalidRecord, NotFound, OwseError
 from .urls import normalize_url
 
 log = logging.getLogger(__name__)
+T = TypeVar("T")
 
 JOURNAL_NAME = "urls.jsonl"
 ONTOLOGY_DIR = "ontologies"
@@ -95,18 +96,22 @@ class UrlRecord:
         return record
 
 
+def _making_parent(path: Path, write: Callable[[], T]) -> T:
+    """``write()``, which opens or writes ``path``; when that fails with
+    FileNotFoundError, make ``path``'s directory and call it once more.
+    A store's first write makes its directory, and no write checks first."""
+    try:
+        return write()
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return write()
+
+
 def _append_line(path: Path, line: str) -> None:
     """Append ``line`` and its newline to a log in one write call. A last
     line torn by a crashed writer is ended first, in the same call, so
     readers keep this one and read the torn one as the line it now is."""
-    try:
-        handle = open(path, "ab+")
-    except FileNotFoundError:  # the log's first append makes its directory
-        if path.parent.is_dir():
-            raise
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return _append_line(path, line)
-    with handle:
+    with _making_parent(path, lambda: open(path, "ab+")) as handle:
         handle.seek(max(handle.tell() - 1, 0))  # to the last byte, if any
         torn = handle.read(1) not in (b"", b"\n")
         handle.write(b"\n" * torn + (line + "\n").encode("utf-8"))
@@ -210,11 +215,7 @@ class OntologyRepository:
         blob_id = hashlib.sha256(data).hexdigest()
         path = self._object_path(blob_id)
         tmp = path.with_suffix(".tmp")
-        try:
-            tmp.write_bytes(data)
-        except FileNotFoundError:  # the first put makes the directory
-            self.objects_dir.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(data)
+        _making_parent(tmp, lambda: tmp.write_bytes(data))
         os.replace(tmp, path)
         line = json.dumps(
             {"id": blob_id, "source_url": source_url, "fetched_at": utc_now(), "size": len(data)},

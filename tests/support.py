@@ -327,9 +327,9 @@ def reference_build_index(summaries: list[OntologySummary]) -> InvertedIndex:
 
 
 def reference_save_index(index: InvertedIndex, path: str | Path) -> None:
-    """The straightforward index writer: every posting list sorted by
-    (doc, field rank), stably. ``owse.indexer.save_index`` sorts only
-    lists out of that order and must write the same bytes."""
+    """The straightforward index writer: every posting list sorted by (doc,
+    field rank), stably, each field named by ``FieldKind.value``.
+    ``owse.indexer.save_index`` must write the same bytes."""
     payload = {
         "version": INDEX_VERSION,
         "totals": {"docs": index.doc_count},
