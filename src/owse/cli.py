@@ -41,6 +41,13 @@ def _nonnegative_int(value: str) -> int:
     return number
 
 
+def _port(value: str) -> int:
+    number = _positive_int(value)
+    if number > 65535:
+        raise argparse.ArgumentTypeError("must be <= 65535")
+    return number
+
+
 def _add_data_dir(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--data-dir",
@@ -80,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_dir(p_stats)
 
     p_fixture = sub.add_parser("fixture", help="serve a directory for offline testing")
-    p_fixture.add_argument("--port", type=_positive_int, required=True)
+    p_fixture.add_argument("--port", type=_port, required=True)
     p_fixture.add_argument("--root", required=True)
 
     return parser

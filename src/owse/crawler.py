@@ -316,6 +316,7 @@ class _Crawl:
         self._next_start: dict[str, float] = {}  # host -> earliest next request start
         self._robots: dict[tuple[str, str], list[str]] = {}  # (scheme, host) -> disallows
         self._lock = threading.Lock()  # guards both per-host dicts
+        self._blob_ids: dict[str, str] | None = None  # the store's url_map, read on first use
 
     # -- frontier ----------------------------------------------------
 
@@ -383,11 +384,23 @@ class _Crawl:
 
     # -- completion handling (runs on the dispatcher thread) ---------
 
+    def _blob_id_map(self) -> dict[str, str]:
+        """The store's ``url_map``, read once per crawl and kept current by
+        ``_put``: a re-crawl reads the manifest once, not once per ontology."""
+        if self._blob_ids is None:
+            self._blob_ids = self.ontology_repo.url_map()
+        return self._blob_ids
+
+    def _put(self, body: bytes, canonical_url: str) -> str:
+        blob_id = self.ontology_repo.put(body, source_url=canonical_url)
+        self._blob_id_map()[canonical_url] = blob_id
+        return blob_id
+
     def _handle_ontology(self, body: bytes, canonical_url: str, depth: int, referrer: str) -> None:
         # Journal first: a crash before the put leaves a journaled URL
         # without a blob, which run_indexer refetches.
         if self.url_repo.append(UrlRecord(url=canonical_url, referrer=referrer, depth=depth)):
-            blob_id = self.ontology_repo.put(body, source_url=canonical_url)
+            blob_id = self._put(body, canonical_url)
             self.report.ontologies_found += 1
             log.info("ontology %s stored as %s", canonical_url, blob_id[:12])
         else:
@@ -397,9 +410,9 @@ class _Crawl:
             # scanned at this depth: the earlier fetch may have been deeper
             # (workers fetch out of BFS order), or its run stopped.
             try:
-                self.ontology_repo.get(self.ontology_repo.url_map()[canonical_url])
+                self.ontology_repo.get(self._blob_id_map()[canonical_url])
             except (KeyError, NotFound, CorruptObject):
-                self.ontology_repo.put(body, source_url=canonical_url)
+                self._put(body, canonical_url)
         if self.config.follow_ontology_links and depth < self.config.max_depth:
             try:
                 triples = parse_rdfxml(body, base=canonical_url)

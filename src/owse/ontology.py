@@ -14,6 +14,8 @@ from literal text content. xml:base is honored. Everything else
 that property element with a recorded warning and continue. An element
 whose rdf:about, rdf:resource or xml:base urljoin cannot resolve (an
 unbalanced IPv6 bracket, say) is skipped with its content and a warning.
+Node elements nest at most MAX_NODE_DEPTH deep: a property element whose
+object would go deeper is skipped with its content and a warning.
 """
 
 from __future__ import annotations
@@ -59,6 +61,11 @@ _RDF_LI_TAG = "{%s}li" % RDF_NS
 _XML_BASE = "{%s}base" % XML_NS
 _URL_STRIPPED = frozenset("\t\r\n")  # urlsplit deletes these anywhere in a URL
 
+# The parser recurses twice per node level. A fixed bound, well inside the
+# interpreter's recursion limit, makes a hostile nest a warning, not a
+# crash, and what a document yields independent of the caller's stack.
+MAX_NODE_DEPTH = 100
+
 
 class Iri(str):
     """An absolute IRI node."""
@@ -93,7 +100,7 @@ class TripleSet:
 
     ``warnings`` are (kind, message) pairs, the kind one of "parseType",
     "rdf:li", "nodeID", "reification", "mixed-content", "nested-nodes",
-    "non-namespaced-tag" and "unresolvable-iri"."""
+    "deep-nesting", "non-namespaced-tag" and "unresolvable-iri"."""
 
     triples: list[Triple] = field(default_factory=list)
     warnings: list[tuple[str, str]] = field(default_factory=list)
@@ -174,8 +181,9 @@ class _Parser:
         declared = element.get(_XML_BASE)
         return self.resolve(base, declared) if declared else base
 
-    def node_element(self, element: ET.Element, base: str) -> str | None:
-        """Process a node element, returning its subject (or None if skipped)."""
+    def node_element(self, element: ET.Element, base: str, depth: int) -> str | None:
+        """Process a node element ``depth`` levels deep (1 for a child of
+        rdf:RDF), returning its subject (or None if skipped)."""
         base = self._element_base(element, base)
         if base is None:
             return None
@@ -204,10 +212,10 @@ class _Parser:
             self.emit(subject, _RDF_TYPE_IRI, type_iri)
 
         for child in element:
-            self.property_element(subject, child, base)
+            self.property_element(subject, child, base, depth)
         return subject
 
-    def property_element(self, subject: str, element: ET.Element, base: str) -> None:
+    def property_element(self, subject: str, element: ET.Element, base: str, depth: int) -> None:
         base = self._element_base(element, base)
         if base is None:
             return
@@ -248,7 +256,12 @@ class _Parser:
             if resolved is not None:
                 self.emit(subject, predicate, Iri(resolved))
         elif len(children) == 1 and not has_text:
-            obj = self.node_element(children[0], base)
+            if depth == MAX_NODE_DEPTH:
+                self.warn(
+                    "deep-nesting", f"skipped property {predicate}: node elements nested over {MAX_NODE_DEPTH} deep"
+                )
+                return
+            obj = self.node_element(children[0], base, depth + 1)
             if obj is not None:
                 self.emit(subject, predicate, obj)
         elif not children:
@@ -294,7 +307,7 @@ def parse_rdfxml(data: bytes, base: str) -> TripleSet:
     doc_base = parser._element_base(root, base)
     if doc_base is not None:
         for child in root:
-            parser.node_element(child, doc_base)
+            parser.node_element(child, doc_base, 1)
 
     return TripleSet(triples=parser.triples, warnings=parser.warnings)
 

@@ -4,7 +4,9 @@ A document's score for a query is the sum, over query terms it contains,
 of idf(t) * sum_f w_f * log2(1 + tf), where idf(t) = log2(1 + N/(1+df))
 and w_f is the weight of the field the term occurred in. Matching is
 disjunctive: a document qualifies when any query term occurs in it.
-Results are ordered by score descending with URL as the tie-break.
+Each sum adds its parts into one float in turn, in posting order, so
+every Python ranks alike. Results are ordered by score descending with
+URL as the tie-break.
 A query scores each posting of its terms once and builds hits only for
 the top k it returns; ``total_matching`` still counts every match.
 """
@@ -51,15 +53,12 @@ def search(raw: str, index: InvertedIndex, top_k: int = 10) -> SearchResults:
     terms = [term for term in sorted(query.unique_terms) if index.postings.get(term)]
     per_doc: dict[int, float] = {}
     for term in terms:
-        by_doc: dict[int, list[float]] = {}
+        by_doc: dict[int, float] = {}
         for doc, kind, tf in index.postings[term]:
-            by_doc.setdefault(doc, []).append(kind.weight * math.log2(1 + tf))
+            by_doc[doc] = by_doc.get(doc, 0.0) + kind.weight * math.log2(1 + tf)
         idf = math.log2(1 + index.doc_count / (1 + len(by_doc)))  # df = len(by_doc)
-        for doc, parts in by_doc.items():
-            # sum(), as tests/oracle.py sums, not adding in turn: from Python
-            # 3.12 sum() compensates float rounding, so the two differ there
-            # by an ulp, which reorders near ties.
-            per_doc[doc] = per_doc.get(doc, 0.0) + idf * sum(parts)
+        for doc, field_sum in by_doc.items():
+            per_doc[doc] = per_doc.get(doc, 0.0) + idf * field_sum
 
     candidates = [doc for doc, score in per_doc.items() if score > 0]
     doc_table = index.doc_table

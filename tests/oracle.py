@@ -81,7 +81,10 @@ def brute_force_search(
             if not present:
                 continue
             idf = math.log2(1 + n / (1 + df[term]))
-            score += idf * sum(WEIGHTS[f] * math.log2(1 + tf) for f, tf in present)
+            field_sum = 0.0
+            for f, tf in present:  # in turn, not sum(): it compensates rounding from 3.12
+                field_sum += WEIGHTS[f] * math.log2(1 + tf)
+            score += idf * field_sum
         if score > 0:
             scored.append((summary.source_url, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))

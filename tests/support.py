@@ -40,6 +40,7 @@ UNSUPPORTED_RDF = (
     "<rdfs:label>kept</rdfs:label>"
     "</owl:Class></rdf:RDF>"
 ).encode()
+
 UNSUPPORTED_KINDS = [
     "non-namespaced-tag",
     "nodeID",
@@ -52,6 +53,19 @@ UNSUPPORTED_KINDS = [
     "nested-nodes",
     "unresolvable-iri",
 ]
+
+
+def nested_rdf(levels: int) -> bytes:
+    """RDF/XML whose one node element nests ``levels`` deep, each ex:N
+    holding the next as the object of an ex:p property element."""
+    head = "".join(f'<ex:N rdf:about="#n{i}"><ex:p>' for i in range(levels - 1))
+    return (
+        '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" xmlns:ex="http://ex.test/#">'
+        + head
+        + f'<ex:N rdf:about="#n{levels - 1}"/>'
+        + "</ex:p></ex:N>" * (levels - 1)
+        + "</rdf:RDF>"
+    ).encode()
 
 
 class StaticTransport:

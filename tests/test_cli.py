@@ -47,6 +47,13 @@ class TestUsageErrors:
             run_cli("frobnicate")
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("port", ["0", "65536", "70000"])
+    def test_fixture_port_outside_1_to_65535_exits_2(self, tmp_path, capsys, port):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("fixture", "--port", port, "--root", str(tmp_path))
+        assert excinfo.value.code == 2
+        assert "--port" in capsys.readouterr().err
+
     def test_invalid_seed_reported_as_config_error(self, tmp_path, capsys):
         data_dir = tmp_path / "untouched"
         code = run_cli("crawl", "--data-dir", str(data_dir), "--seed", "notaurl")

@@ -40,7 +40,7 @@ from owse.ontology import (
 from owse.storage import OntologyRepository, UrlRepository
 from owse.urls import host_of, normalize_url
 
-from support import FIXTURE_HOST, StaticTransport, static_site_from
+from support import FIXTURE_HOST, StaticTransport, nested_rdf, static_site_from
 
 RDF_BODY = b'<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"/>'
 
@@ -678,6 +678,42 @@ class TestCrawl:
         assert report.errors == [(f"{FIXTURE_HOST}/private/hidden.html", "robots-disallowed")]
         assert (journal.read_bytes(), manifest.read_bytes()) == before
         assert len(manifest.read_bytes().splitlines()) == 3
+
+    def test_recrawl_reads_the_manifest_once(self, tmp_path, webroot, monkeypatch):
+        run_crawl(static_site_from(webroot), tmp_path)
+        reads = []
+        manifest = OntologyRepository.manifest
+        monkeypatch.setattr(OntologyRepository, "manifest", lambda repo: reads.append(repo) or manifest(repo))
+        report, _, _ = run_crawl(static_site_from(webroot), tmp_path)
+        assert report.ontologies_found == 0
+        assert len(reads) <= 1
+
+    def test_recrawl_stores_a_new_ontology_once_behind_a_redirect_alias(self, tmp_path):
+        index, old = "http://h.test/index.html", "http://h.test/old.owl"
+        alias, target = "http://h.test/alias.owl", "http://h.test/o.owl"
+        pages = {index: (200, "text/html", b'<a href="old.owl">'), old: (200, "application/rdf+xml", RDF_BODY)}
+        run_crawl(StaticTransport(pages), tmp_path, seeds=[index])
+        pages[index] = (200, "text/html", b'<a href="old.owl"><a href="alias.owl"><a href="o.owl">')
+        pages[target] = (200, "application/rdf+xml", RDF_BODY)
+        transport = StaticTransport(pages)
+        transport.redirects[alias] = target
+        # old.owl, fetched first, reads the store's map before o.owl is stored
+        report, _, ontology_repo = run_crawl(transport, tmp_path, seeds=[index])
+        assert report.ontologies_found == 1
+        assert [e["source_url"] for e in ontology_repo.manifest()] == [old, target]
+
+    def test_deeply_nested_ontology_does_not_stop_the_crawl(self, tmp_path):
+        index, deep, after = "http://h.test/index.html", "http://h.test/deep.rdf", "http://h.test/after.owl"
+        transport = StaticTransport(
+            {
+                index: (200, "text/html", b'<a href="deep.rdf"><a href="after.owl">'),
+                deep: (200, "application/rdf+xml", nested_rdf(600)),
+                after: (200, "application/rdf+xml", RDF_BODY),
+            }
+        )
+        report, url_repo, _ = run_crawl(transport, tmp_path, seeds=[index], follow_ontology_links=True)
+        assert report.stop_reason is StopReason.FRONTIER_EXHAUSTED
+        assert [r.url for r in url_repo.scan()] == [deep, after]
 
     @pytest.mark.parametrize("damage", ["tampered", "deleted", "never-stored"])
     def test_recrawl_repairs_a_missing_or_corrupt_stored_object(self, tmp_path, webroot, expected_crawl, damage):

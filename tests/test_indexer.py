@@ -32,6 +32,7 @@ from support import (
     UNSUPPORTED_RDF,
     StaticTransport,
     make_summary,
+    nested_rdf,
     reference_build_index,
     reference_save_index,
     static_site_from,
@@ -308,6 +309,18 @@ class TestRunIndexer:
         assert (report.indexed, report.skipped) == (4, 0)
         index = load_index(tmp_path / "index.json")
         assert [entry.url for entry in index.doc_table] == urls
+
+    def test_deeply_nested_document_is_indexed_with_a_warning(self, tmp_path, webroot):
+        transport = static_site_from(webroot)
+        deep = "http://deep.test/o.rdf"
+        transport.pages[deep] = (200, "application/rdf+xml", nested_rdf(600))
+        urls = [f"{FIXTURE_HOST}/onts/{name}" for name in ONT_NAMES[:2]]
+        self.journal(tmp_path, [urls[0], deep, urls[1]])
+        report = run_indexer(tmp_path, transport)
+        assert (report.indexed, report.skipped) == (3, 0)
+        assert report.parse_warnings["deep-nesting"] == 1
+        index = load_index(tmp_path / "index.json")
+        assert [entry.url for entry in index.doc_table] == [urls[0], deep, urls[1]]
 
     def test_turtle_document_skipped_gracefully(self, tmp_path, webroot):
         transport = static_site_from(webroot)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owse import ontology
 from owse.errors import NotRdf, XmlNotWellFormed
 from owse.ontology import (
     OWL_CLASS,
@@ -23,7 +24,7 @@ from owse.ontology import (
     summarize_ontology,
 )
 
-from support import UNSUPPORTED_KINDS, UNSUPPORTED_RDF
+from support import UNSUPPORTED_KINDS, UNSUPPORTED_RDF, nested_rdf
 
 RDFXML_HEAD = (
     '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
@@ -136,6 +137,27 @@ class TestParse:
     def test_each_warning_has_its_kind(self):
         tset = parse_rdfxml(UNSUPPORTED_RDF, base="http://x/o")
         assert [kind for kind, _ in tset.warnings] == UNSUPPORTED_KINDS
+
+    def test_nesting_bound_is_the_same_from_any_stack(self):
+        # Far past the bound, and past where Python's recursion limit would
+        # cut a nest at a depth set by the caller's stack.
+        data = nested_rdf(600)
+
+        def parse_under(frames):
+            return parse_under(frames - 1) if frames else parse_rdfxml(data, base="http://x/o")
+
+        shallow, deep = parse_under(0), parse_under(300)
+        assert shallow == deep
+        assert [kind for kind, _ in shallow.warnings] == ["deep-nesting"]
+        levels = ontology.MAX_NODE_DEPTH
+        assert len(shallow.triples) == 2 * levels - 1  # a type for each level, a link between each pair
+        assert {t.subject for t in shallow.triples} == {f"http://x/o#n{i}" for i in range(levels)}
+
+    def test_nesting_up_to_the_bound_is_kept_whole(self):
+        levels = ontology.MAX_NODE_DEPTH
+        tset = parse_rdfxml(nested_rdf(levels), base="http://x/o")
+        assert tset.warnings == []
+        assert len(tset.triples) == 2 * levels - 1
 
     def test_unresolvable_about_skips_node_with_warning(self):
         tset = parse_rdfxml(

@@ -28,7 +28,9 @@ def reference_search(raw: str, index: InvertedIndex, top_k: int = 10) -> SearchR
             by_doc.setdefault(posting.doc, []).append(posting)
         idf = math.log2(1 + index.doc_count / (1 + len(by_doc)))
         for doc, here in by_doc.items():
-            field_part = sum(p.field.weight * math.log2(1 + p.tf) for p in here)
+            field_part = 0.0
+            for p in here:
+                field_part += p.field.weight * math.log2(1 + p.tf)
             per_doc[doc] = per_doc.get(doc, 0.0) + idf * field_part
             per_doc_matches.setdefault(doc, []).extend((term, p.field, p.tf) for p in here)
 
@@ -117,6 +119,25 @@ class TestScoreOntology:
         assert hit.score == pytest.approx(3.965784284662087, abs=1e-9)
         assert round(hit.score, 4) == 3.9658
         assert hit.matched == [("author", FieldKind.CLASS_NAME, 1)]
+
+    def test_field_parts_add_in_turn(self):
+        # "pizza" in ClassName tf 1, Comment tf 4 and OntologyIri tf 2 (the
+        # IRI and the URL): added in turn, 3.0 + log2(5) + 1.5 * log2(3)
+        # is 7.699371845969096 on every Python; sum() reads ...097 from 3.12.
+        summary = make_summary(
+            "http://h/pizza",
+            class_names=["Pizza"],
+            comments=["pizza pizza pizza pizza"],
+            ontology_iri="http://onto.test/pizza",
+        )
+        index = build_index([summary])
+        assert index.postings["pizza"] == [
+            Posting(0, FieldKind.CLASS_NAME, 1),
+            Posting(0, FieldKind.COMMENT, 4),
+            Posting(0, FieldKind.ONTOLOGY_IRI, 2),
+        ]
+        (hit,) = search("pizza", index).hits
+        assert hit.score == math.log2(1 + 1 / 2) * 7.699371845969096
 
     def test_absent_term_scores_zero(self):
         index = build_index(three_doc_corpus())
