@@ -24,7 +24,6 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from html import unescape
-from html.parser import HTMLParser
 from urllib.parse import urlsplit
 
 from .errors import ConfigError, CorruptObject, FetchError, NotFound, NotRdf, OwseError, XmlNotWellFormed
@@ -114,89 +113,37 @@ def classify_resource(url: str, content_type: str, body: bytes) -> ResourceKind:
     return ResourceKind.OTHER
 
 
-class _LinkScanner(HTMLParser):
-    """Tolerant scan for href attributes of <a> and <link> tags and for
-    the first <base href>."""
-
-    def __init__(self, base: str):
-        super().__init__(convert_charrefs=True)
-        self.base = base
-        self.base_set = False
-        self.hrefs: list[str] = []
-
-    def handle_starttag(self, tag, attrs):
-        if tag not in ("a", "link", "base"):
-            return
-        for name, href in attrs:
-            # The first href that has a value, as browsers keep the first
-            # of duplicate attributes.
-            if name == "href" and href is not None:
-                break
-        else:
-            return
-        if tag != "base":
-            self.hrefs.append(href)
-        elif href and not self.base_set:
-            try:
-                self.base = normalize_url(href, self.base)
-            except OwseError:
-                pass
-            self.base_set = True
-
-
-# A plain HTML document: every "<" starts a <!DOCTYPE>, an end tag, or a
-# start tag of ASCII names, [ \t\n\r\f] and bare or quoted attributes,
-# and no "<" or ">" sits inside a declaration or attribute value; a
-# raw-text or RCDATA element holds no "<" up to its own end tag. Each of
-# these reads the same under every html.parser from Python 3.10 on, which
-# differ on comments, "<?", "<![", unquoted values, other whitespace and
-# which elements hold raw text. A value's "&" starts only a numeric
-# reference or "&amp;", or precedes no letter: later releases unescape
-# named references in values by the HTML5 rules, not by html.unescape.
-# Text runs sit only between tokens and no two branches match the same
-# text, so a document has at most one parse, and one that is not plain
-# fails in linear time.
-_WS = r"[ \t\n\r\f]"
-_NAME = r"[a-z_:][-a-z0-9_:.]*"
-_REF = r"&(?:#|(?-i:amp;)|(?![a-z#]))"
-_VALUE = rf""""[^"<>&]*(?:{_REF}[^"<>&]*)*"|'[^'<>&]*(?:{_REF}[^'<>&]*)*'"""
-_ATTRS = rf"(?:{_WS}+{_NAME}(?:=(?:{_VALUE}))?)*"
-_RAW_TEXT = "script|style|title|textarea|xmp|iframe|noembed|noframes|noscript"
-_TOKEN = (
-    r"<!doctype[^<>]*>"
-    r"|</[a-z][-a-z0-9]*>"
-    rf"|<(?!(?:{_RAW_TEXT}|plaintext)[ \t\n\r\f/>])[a-z][-a-z0-9]*{_ATTRS}{_WS}*/?>"
-    rf"|<({_RAW_TEXT}){_ATTRS}{_WS}*/?>[^<]*</\1>"
+# The link scan reads a page by the HTML5 tokenizer's rules for what can
+# hide a tag. A comment runs to "-->", "--!>" or the end; "<!-->" and
+# "<!--->" are empty. "<!", "<?" and "</" before a non-letter open a bogus
+# comment up to ">", which covers doctypes and "<![CDATA[". The text of a
+# raw-text or RCDATA element runs to its own end tag, and <plaintext> runs
+# to the end; noscript is markup, as for a browser that runs no scripts.
+# Any other tag runs to the first ">" outside a quoted value, and a quote
+# opens a value only after an attribute name and "=". Every branch is
+# picked by its first characters and cannot fail after them: the
+# attribute loop ends only at ">" or the end, and a quote the end cuts off
+# runs to the end. So nothing backtracks and the scan is linear. Only
+# <a>, <link> and <base> capture their attributes, and those that no ">"
+# closes are dropped.
+_SPACE = r"[\t\n\f\r ]"
+_VALUE = r""""[^"]*"?|'[^']*'?|[^\t\n\f\r >]*"""
+# Attribute names and the spaces after them run together up to "/", "="
+# or ">": an "=" opens a value only there, and starts a name anywhere else.
+_ATTRS = rf"[\t\n\f\r /]*(?:[^\t\n\f\r />][^/=>]*(?:={_SPACE}*(?:{_VALUE}))?[\t\n\f\r /]*)*"
+_NAME_END = r"(?![^\t\n\f\r />])"
+_RAW_TEXT = "script|style|xmp|iframe|noembed|noframes|title|textarea"
+_TOKEN = re.compile(
+    r"<(?:!--(?:-?>|.*?(?:--!?>|\Z))"
+    r"|(?:!|\?|/(?![a-z]))[^>]*>?"
+    rf"|(a|link|base){_NAME_END}({_ATTRS})(>?)"
+    rf"|(?P<raw>{_RAW_TEXT}){_NAME_END}{_ATTRS}(?:>.*?(?=</(?P=raw)[\t\n\f\r />]|\Z))?"
+    rf"|plaintext{_NAME_END}{_ATTRS}(?:>.*)?"
+    rf"|/?[a-z][^\t\n\f\r />]*{_ATTRS}>?)",
+    re.ASCII | re.IGNORECASE | re.DOTALL,
 )
-_PLAIN_HTML = re.compile(rf"[^<]*(?:(?:{_TOKEN})[^<]*)*", re.ASCII | re.IGNORECASE)
-_LINK_TAG = re.compile(rf"<(a|link|base)({_ATTRS}){_WS}*/?>", re.ASCII | re.IGNORECASE)
-_LINK_ATTR = re.compile(rf"({_NAME})(?:=({_VALUE}))?", re.ASCII | re.IGNORECASE)
-
-
-def _is_plain(text: str) -> bool:
-    """``_PLAIN_HTML.fullmatch(text)``, without its backtracking through
-    every earlier token when the document fails near its end: the parse
-    is unique, so the longest plain prefix decides."""
-    return _PLAIN_HTML.match(text).end() == len(text)
-
-
-def _scan_links(text: str, base: str) -> _LinkScanner:
-    """The hrefs and effective base of an HTML document: one regex pass
-    over a plain document, the tolerant parser over any other, each
-    through the same ``handle_starttag``."""
-    scanner = _LinkScanner(base)
-    if _is_plain(text):
-        for tag, attr_text in _LINK_TAG.findall(text):
-            # Names lowercased and values unescaped, as html.parser does.
-            attrs = [
-                (name.lower(), unescape(value[1:-1]) if value else None)
-                for name, value in _LINK_ATTR.findall(attr_text)
-            ]
-            scanner.handle_starttag(tag.lower(), attrs)
-    else:
-        scanner.feed(text)
-        scanner.close()
-    return scanner
+# One attribute of a closed tag: its name, "=" if it has a value, the value.
+_ATTR = re.compile(rf"([^\t\n\f\r />][^\t\n\f\r />=]*)(?:{_SPACE}*(=){_SPACE}*({_VALUE}))?")
 
 
 def _resolve(hrefs: list[str], base: str) -> list[str]:
@@ -216,8 +163,28 @@ def extract_html_links(body: bytes, base: str) -> list[str]:
     Honors the first in-document <base href>. Unparseable and non-http
     targets are dropped; duplicates are preserved (the frontier dedups).
     """
-    scanner = _scan_links(body.decode("utf-8", errors="replace"), base)
-    return _resolve(scanner.hrefs, scanner.base)
+    hrefs = []
+    base_set = False
+    for tag, attrs, closed, _ in _TOKEN.findall(body.decode("utf-8", errors="replace")):
+        if not closed:
+            continue
+        for name, equals, value in _ATTR.findall(attrs):
+            # The first href that has a value, as browsers keep the first
+            # of duplicate attributes; names lowercased, values unescaped.
+            if equals and name.lower() == "href":
+                href = unescape(value[1:-1] if value[:1] in ('"', "'") else value)
+                break
+        else:
+            continue
+        if tag.lower() != "base":
+            hrefs.append(href)
+        elif href and not base_set:
+            try:
+                base = normalize_url(href, base)
+            except OwseError:
+                pass
+            base_set = True
+    return _resolve(hrefs, base)
 
 
 def extract_ontology_refs(triples: TripleSet) -> list[str]:
@@ -235,7 +202,7 @@ def parse_robots(text: str) -> list[str]:
     disallows: list[str] = []
     agents: list[str] = []
     rules_started = False
-    for raw_line in text.splitlines():
+    for raw_line in text.removeprefix("\ufeff").splitlines():  # a UTF-8 byte order mark is no field
         line = raw_line.split("#", 1)[0].strip()
         if not line or ":" not in line:
             continue

@@ -88,7 +88,7 @@ class InvertedIndex:
         """Number of distinct documents containing ``term``.
 
         No program code calls it (``search`` counts df as it scores); it
-        stays until ROADMAP item 6 deletes it, because perfbench wraps it."""
+        stays until ROADMAP item 9 deletes it, because perfbench wraps it."""
         return len({p.doc for p in self.postings.get(term, [])})
 
 

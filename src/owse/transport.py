@@ -89,7 +89,8 @@ class HttpTransport:
         url = _quoted(url)
         try:
             for _ in range(MAX_REDIRECTS + 1):
-                scheme, netloc, path, query, _ = urlsplit(url)
+                scheme, netloc, path, query, _ = parts = urlsplit(url)
+                parts.port  # ValueError outside 0-65535, which http.client would wrap to 16 bits
                 if scheme == "https" and netloc:
                     connection = http.client.HTTPSConnection(netloc, timeout=TIMEOUT, context=self._tls)
                 elif scheme == "http" and netloc:

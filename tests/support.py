@@ -7,15 +7,17 @@ import os
 import threading
 import time
 from collections import Counter
+from html.parser import HTMLParser
 from pathlib import Path
 
 from hypothesis import strategies as st
 
-from owse.errors import CorruptIndex, FetchError, NotFound, VersionMismatch
+from owse.errors import CorruptIndex, FetchError, NotFound, OwseError, VersionMismatch
 from owse.fixture_server import CONTENT_TYPES, DEFAULT_CONTENT_TYPE
 from owse.indexer import INDEX_VERSION, DocEntry, FieldKind, InvertedIndex, Posting, tokenize
 from owse.ontology import ElementKind, OntologyElement, OntologySummary
 from owse.transport import FetchResponse
+from owse.urls import normalize_url
 
 FIXTURE_HOST = "http://fixture.test"
 
@@ -129,6 +131,37 @@ def static_site_from(webroot: Path, base: str = FIXTURE_HOST) -> StaticTransport
         content_type = CONTENT_TYPES.get(path.suffix.lower(), DEFAULT_CONTENT_TYPE)
         pages[url] = (200, content_type, path.read_bytes())
     return StaticTransport(pages)
+
+
+class _ReferenceLinkScanner(HTMLParser):
+    """html.parser's hrefs of <a> and <link> tags and its first <base href>."""
+
+    def __init__(self, base: str):
+        super().__init__(convert_charrefs=True)
+        self.base = base
+        self.base_set = False
+        self.hrefs: list[str] = []
+
+    def handle_starttag(self, tag, attrs):
+        href = next((value for name, value in attrs if name == "href" and value is not None), None)
+        if tag in ("a", "link") and href is not None:
+            self.hrefs.append(href)
+        elif tag == "base" and href and not self.base_set:
+            try:
+                self.base = normalize_url(href, self.base)
+            except OwseError:
+                pass
+            self.base_set = True
+
+
+def reference_scan(text: str, base: str) -> tuple[list[str], str]:
+    """html.parser's hrefs and effective base of a page, which the link
+    scan must equal on a page every html.parser from Python 3.10 on reads
+    alike."""
+    scanner = _ReferenceLinkScanner(base)
+    scanner.feed(text)
+    scanner.close()
+    return scanner.hrefs, scanner.base
 
 
 def make_summary(

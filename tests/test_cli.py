@@ -36,6 +36,14 @@ class TestUsageErrors:
             )
         assert excinfo.value.code == 2
 
+    def test_max_depth_below_zero_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(
+                "crawl", "--data-dir", str(tmp_path),
+                "--seed", "http://x/", "--max-depth", "-1",
+            )
+        assert excinfo.value.code == 2
+
     def test_missing_data_dir_exits_2(self, monkeypatch):
         monkeypatch.delenv("OWSE_DATA_DIR", raising=False)
         with pytest.raises(SystemExit) as excinfo:

@@ -413,6 +413,19 @@ class TestSummarize:
             ("p", ElementKind.PLAIN_PROPERTY)
         ]
 
+    def test_explicit_property_type_after_an_inference_sets_the_kind(self):
+        # The domain infers a plain property first; the first explicit
+        # type still sets the kind, and a later one does not.
+        tset = parse_rdfxml(
+            doc(
+                '<rdf:Description rdf:about="#p"><rdfs:domain rdf:resource="#C"/></rdf:Description>'
+                '<owl:ObjectProperty rdf:about="#p"/><owl:DatatypeProperty rdf:about="#p"/>'
+            ),
+            base="http://x/o",
+        )
+        summary = summarize(tset)
+        assert [(p.local_name, p.kind) for p in summary.properties] == [("p", ElementKind.OBJECT_PROPERTY)]
+
     def test_blank_endpoints_excluded_from_relations(self):
         tset = parse_rdfxml(
             doc(

@@ -214,6 +214,14 @@ class TestRedirects:
             with pytest.raises(socket.timeout):
                 listener.accept()
 
+    @pytest.mark.parametrize("wrap", [65536, 10**19], ids=["past-65535", "20-digit"])
+    def test_redirect_to_a_port_outside_0_to_65535_is_refused(self, server, wrap):
+        # The port modulo 65536 is the server's own, where http.client
+        # would connect; a 20-digit port overflowed out of get().
+        port = int(server.url.rsplit(":", 1)[1]) + wrap
+        assert fetch_error(f"{server.url}/to?http://127.0.0.1:{port}/hop/0").kind == "connection"
+        assert len(server.request_lines) == 1
+
 
 class TestBody:
     def test_body_of_exactly_the_cap(self, server):
