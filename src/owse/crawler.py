@@ -24,6 +24,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from html import unescape
+from html.entities import html5
 from urllib.parse import urlsplit
 
 from .errors import ConfigError, CorruptObject, FetchError, NotFound, NotRdf, OwseError, XmlNotWellFormed
@@ -146,6 +147,24 @@ _TOKEN = re.compile(
 _ATTR = re.compile(rf"([^\t\n\f\r />][^\t\n\f\r />=]*)(?:{_SPACE}*(=){_SPACE}*({_VALUE}))?")
 
 
+# A character reference where html.unescape finds one.
+_CHARREF = re.compile(r"&(#[0-9]+;?|#[xX][0-9a-fA-F]+;?|[^\t\n\f <&#;]{1,32};?)")
+
+
+def _attribute_charref(match: re.Match) -> str:
+    """One character reference of an attribute value, decoded as HTML5
+    decodes it there: as html.unescape does, except that a named reference
+    without ";" stays as written when "=" or an ASCII letter or digit
+    follows it (``&section=2`` is no ``&sect``)."""
+    ref, name = match.group(), match.group(1)
+    if name[0] != "#" and name not in html5:
+        # html.unescape would decode the longest name that starts the run.
+        end = next((end for end in range(len(name) - 1, 1, -1) if name[:end] in html5), 0)
+        if end and (name[end] == "=" or name[end].isascii() and name[end].isalnum()):
+            return ref
+    return unescape(ref)
+
+
 def _resolve(hrefs: list[str], base: str) -> list[str]:
     """``normalize_url(href, base)`` of each href that normalizes, in order."""
     links = []
@@ -170,9 +189,12 @@ def extract_html_links(body: bytes, base: str) -> list[str]:
             continue
         for name, equals, value in _ATTR.findall(attrs):
             # The first href that has a value, as browsers keep the first
-            # of duplicate attributes; names lowercased, values unescaped.
+            # of duplicate attributes; names lowercased, references in
+            # values decoded by the attribute rule of _attribute_charref.
             if equals and name.lower() == "href":
-                href = unescape(value[1:-1] if value[:1] in ('"', "'") else value)
+                href = value[1:-1] if value[:1] in ('"', "'") else value
+                if "&" in href:
+                    href = _CHARREF.sub(_attribute_charref, href)
                 break
         else:
             continue

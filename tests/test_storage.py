@@ -578,7 +578,7 @@ def _mutate(payload: dict, draw) -> None:
             [
                 "doc_str", "doc_float", "doc_fraction", "doc_true", "doc_negative", "doc_n",
                 "tf_zero", "tf_str", "field_unknown", "field_list", "row_2", "row_4",
-                "row_not_list", "swap", "duplicate", "empty_term", "empty_list",
+                "row_not_list", "swap", "duplicate", "empty_term", "empty_list", "twin",
             ]
         )
     )
@@ -604,6 +604,14 @@ def _mutate(payload: dict, draw) -> None:
         rows[i], rows[j] = rows[j], rows[i]
     elif mutation == "duplicate":
         rows.insert(i, list(rows[i]))
+    elif mutation == "twin":
+        # A row value-equal to one another term lists, with a bool or a
+        # float in place of its doc or tf.
+        source = draw(st.sampled_from([t for t in sorted(postings) if t != term] or [term]))
+        twin = list(draw(st.sampled_from(postings[source])))
+        k = draw(st.sampled_from([0, 2]))
+        twin[k] = draw(st.sampled_from([float(twin[k]), *([bool(twin[k])] if twin[k] in (0, 1) else [])]))
+        rows[i] = twin
     elif mutation == "empty_term":
         postings[""] = postings.pop(term)
     else:
@@ -644,6 +652,42 @@ class TestLoadIndex:
         if got is not CorruptIndex:
             for plist in got.postings.values():
                 assert all(type(p.doc) is int and type(p.tf) is int for p in plist)
+
+    @settings(max_examples=100, deadline=None)
+    @given(index=index_snapshots())
+    def test_equal_postings_load_as_one_object(self, index, tmp_path_factory):
+        path = tmp_path_factory.mktemp("idx") / "index.json"
+        save_index(index, path)
+        loaded = load_index(path)
+        postings = [p for plist in loaded.postings.values() for p in plist]
+        assert len({id(p) for p in postings}) == len(set(postings))
+        assert all(type(p.doc) is int and p.doc < loaded.doc_count for p in postings)
+
+    @pytest.mark.parametrize(
+        "valid, twin",
+        [
+            ([0, "ClassName", 1], [False, "ClassName", 1]),
+            ([0, "ClassName", 1], [0.0, "ClassName", 1]),
+            ([0, "ClassName", 1], [0, "ClassName", True]),
+            ([0, "ClassName", 1], [0, "ClassName", 1.0]),
+            ([1, "ClassName", 1], [True, "ClassName", 1]),
+            ([1, "ClassName", 1], [1.0, "ClassName", 1]),
+        ],
+        ids=["false-doc", "float-doc-0", "true-tf", "float-tf", "true-doc", "float-doc-1"],
+    )
+    def test_wrong_type_twin_of_a_loaded_row_is_corrupt(self, tmp_path, valid, twin):
+        # The twin compares and hashes equal to a row an earlier term
+        # listed, so it must be refused before it is looked up.
+        row = {"id": "a" * 64, "url": "http://a", "size_bytes": 1, "classes": 0, "properties": 0, "relations": 0}
+        payload = {"version": 1, "totals": {"docs": 2}, "doc_table": [row, dict(row, id="b" * 64)]}
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(dict(payload, postings={"a": [valid], "b": [valid]})))
+        loaded = load_index(path)
+        assert loaded.postings["a"][0] is loaded.postings["b"][0]
+        path.write_text(json.dumps(dict(payload, postings={"a": [valid], "b": [twin]})))
+        for load in (load_index, reference_load_index):
+            with pytest.raises(CorruptIndex):
+                load(path)
 
     @pytest.mark.parametrize(
         "mutate",
