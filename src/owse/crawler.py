@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import heapq
 import logging
+import queue
 import re
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from html import unescape
@@ -315,7 +315,7 @@ class _Crawl:
         self.visited.add(url)
         self.frontier.push(url, depth, referrer)
 
-    # -- per-task fetch path (runs in worker threads) ----------------
+    # -- fetch path (runs in the fetch threads) ----------------------
 
     def _get(self, url: str, host: str) -> FetchResponse:
         """GET ``url`` once ``host``'s politeness interval has passed since
@@ -370,6 +370,16 @@ class _Crawl:
             return self._get(url, host)
         except FetchError as exc:
             return exc.kind
+
+    def _fetch_loop(self, tasks: queue.SimpleQueue, results: queue.SimpleQueue) -> None:
+        """A fetch thread: runs ``_fetch_task`` for each (url, depth,
+        referrer, host) on ``tasks`` up to a None, and puts (entry, result)
+        on ``results``; the result is whatever the task raised, if it did."""
+        while (entry := tasks.get()) is not None:
+            try:
+                results.put((entry, self._fetch_task(entry[0], entry[3])))
+            except BaseException as exc:  # the dispatcher raises it
+                results.put((entry, exc))
 
     # -- completion handling (runs on the dispatcher thread) ---------
 
@@ -462,23 +472,34 @@ class _Crawl:
         for seed in self.config.seeds:
             self.enqueue(normalize_url(seed, seed), 0, "")
 
-        with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
-            inflight: dict[Future, tuple[str, int, str, str]] = {}  # future -> (url, depth, referrer, host)
+        tasks: queue.SimpleQueue = queue.SimpleQueue()
+        results: queue.SimpleQueue = queue.SimpleQueue()
+        threads: list[threading.Thread] = []
+        inflight: set[str] = set()  # the host of each fetch in flight, one fetch per host
+        try:
             while True:
                 while len(inflight) < self.config.workers and self._budget_reached(len(inflight)) is None:
-                    busy = {host for _, _, _, host in inflight.values()}
-                    entry = self.frontier.pop_dispatchable(busy)
+                    entry = self.frontier.pop_dispatchable(inflight)
                     if entry is None:
                         break
-                    url, _, _, host = entry
-                    future = pool.submit(self._fetch_task, url, host)
-                    inflight[future] = entry
+                    inflight.add(entry[3])
+                    tasks.put(entry)
+                    if len(threads) < len(inflight):  # no more threads than fetches ever in flight
+                        thread = threading.Thread(target=self._fetch_loop, args=(tasks, results))
+                        thread.start()
+                        threads.append(thread)
                 if not inflight:
                     break
-                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    url, depth, referrer, _ = inflight.pop(future)
-                    self._process(url, depth, referrer, future.result())
+                (url, depth, referrer, host), result = results.get()
+                inflight.remove(host)
+                if isinstance(result, BaseException):
+                    raise result
+                self._process(url, depth, referrer, result)
+        finally:
+            for thread in threads:
+                tasks.put(None)
+            for thread in threads:
+                thread.join()
 
         self.report.stop_reason = self._budget_reached(0) or StopReason.FRONTIER_EXHAUSTED
         self.report.elapsed_ms = int((time.monotonic() - start) * 1000)

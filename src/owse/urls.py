@@ -10,7 +10,7 @@ preserved.
 from __future__ import annotations
 
 import re
-from urllib.parse import urljoin, urlsplit, urlunsplit
+from urllib.parse import urlsplit, urlunsplit, uses_netloc, uses_relative
 
 from .errors import Unparseable, UnsupportedScheme
 
@@ -22,11 +22,11 @@ _DEFAULT_PORTS = {"http": "80", "https": "443"}
 #
 # A canonical base has the shape normalize_url returns: http or https, a
 # host of [a-z0-9._~-], a port of at most 5 digits (int() refuses over
-# 4300), and a path of no ";" (urlparse splits off ";params"), tab, CR or
-# LF (urlsplit deletes them). Nothing after the path is read.
+# 4300), and a path of no tab, CR or LF (urlsplit deletes them). Nothing
+# after the path is read.
 #
-# A plain reference (after strip()) is printable ASCII without ";", "\",
-# "[" or "]". Whitespace and C0 controls are out because urlsplit deletes
+# A plain reference (after strip()) is printable ASCII without "\", "["
+# or "]". Whitespace and C0 controls are out because urlsplit deletes
 # or strips them (a leading C0 run since 3.11.4), brackets because its
 # bracketed-host check differs by version. A plain reference is one of:
 #  - http(s)://host[:port], then a path, query and fragment, in any case,
@@ -36,16 +36,16 @@ _DEFAULT_PORTS = {"http": "80", "https": "443"}
 #  - a relative reference whose path is not empty, does not start with
 #    "//" and has no ":" before its first "/", "?" or "#": Python 3.10's
 #    urlsplit reads "0x.html:" as a scheme, 3.11+ as a path.
-# In _PLAIN_REF, [!-:<-Z^-~] is any plain character; [!"$-:<-Z^-~] leaves
-# out "#" (a query), [!"$-:<->@-Z^-~] also "?" (a path), and
-# [!"$-.0-9<->@-Z^-~] also "/" and ":" (a first path segment).
-_CANONICAL_BASE = re.compile(r"(https?)://([a-z0-9._~-]+)(?::([0-9]{0,5}))?(/[^?#;\t\r\n]*)(?:[?#]|\Z)")
+# In _PLAIN_REF, [!-Z^-~] is any plain character; [!"$-Z^-~] leaves out
+# "#" (a query), [!"$->@-Z^-~] also "?" (a path), and [!"$-.0-9;->@-Z^-~]
+# also "/" and ":" (a first path segment).
+_CANONICAL_BASE = re.compile(r"(https?)://([a-z0-9._~-]+)(?::([0-9]{0,5}))?(/[^?#\t\r\n]*)(?:[?#]|\Z)")
 _PLAIN_REF = re.compile(
     r"""(?:
-        ([Hh][Tt][Tt][Pp][Ss]?)://([A-Za-z0-9._~-]+)(?::([0-9]{0,5}))?(/[!"$-:<->@-Z^-~]*)?
-      | (?![Hh][Tt][Tt][Pp][Ss]?:)([A-Za-z][A-Za-z0-9+.-]*):[!-:<-Z^-~]*
-      | (?!//)([!"$-.0-9<->@-Z^-~]*(?:/[!"$-:<->@-Z^-~]*)?)
-    )(?:\?([!"$-:<-Z^-~]*))?(?:\#[!-:<-Z^-~]*)?\Z""",
+        ([Hh][Tt][Tt][Pp][Ss]?)://([A-Za-z0-9._~-]+)(?::([0-9]{0,5}))?(/[!"$->@-Z^-~]*)?
+      | (?![Hh][Tt][Tt][Pp][Ss]?:)([A-Za-z][A-Za-z0-9+.-]*):[!-Z^-~]*
+      | (?!//)([!"$-.0-9;->@-Z^-~]*(?:/[!"$->@-Z^-~]*)?)
+    )(?:\?([!"$-Z^-~]*))?(?:\#[!-Z^-~]*)?\Z""",
     re.VERBOSE,
 )
 # What precedes a URL's first "[" when that "[" opens its host, once
@@ -103,6 +103,45 @@ def _merge(base_path: str, ref_path: str) -> str:
     return path if path[:1] == "/" else "/" + path
 
 
+def _join(base: str, ref: str) -> str:
+    """urljoin(base, ref), on urlsplit's parts. urljoin reads ";params" off
+    the last path segment, as RFC 1808 did: it drops the ";" of empty
+    params ("a;" joins as "a") and takes "..;p" for a ".." segment. RFC
+    3986 has no params, so here a ";" is a path character like any other."""
+    if not base:
+        return ref
+    if not ref:
+        return base
+    bscheme, bnetloc, bpath, bquery, _ = urlsplit(base)
+    scheme, netloc, path, query, fragment = urlsplit(ref, bscheme)
+    if scheme != bscheme or scheme not in uses_relative:
+        return ref
+    if scheme in uses_netloc:
+        if netloc:
+            return urlunsplit((scheme, netloc, path, query, fragment))
+        netloc = bnetloc
+    if not path:
+        return urlunsplit((scheme, netloc, bpath, query or bquery, fragment))
+    if path[:1] == "/":
+        segments = path.split("/")
+    else:
+        segments = bpath.split("/")
+        if segments[-1]:  # the base's last segment, unless empty, is no directory
+            del segments[-1]
+        segments += path.split("/")
+        segments[1:-1] = filter(None, segments[1:-1])
+    resolved: list[str] = []
+    for segment in segments:
+        if segment == "..":
+            if resolved:
+                resolved.pop()
+        elif segment != ".":
+            resolved.append(segment)
+    if segments[-1] in (".", ".."):
+        resolved.append("")
+    return urlunsplit((scheme, netloc, "/".join(resolved) or "/", query, fragment))
+
+
 def _lower_ipvfuture(url: str) -> str:
     """``url`` with the "v" of an IPvFuture host lowercased. RFC 3986 makes
     it case-insensitive; urlsplit (3.11+) accepts only "v"."""
@@ -140,7 +179,7 @@ def normalize_url(raw: str, base: str) -> str:
             return f"{scheme}://{netloc}{path}?{query}" if query else f"{scheme}://{netloc}{path}"
 
     try:
-        absolute = urljoin(_lower_ipvfuture(base), _lower_ipvfuture(ref))
+        absolute = _join(_lower_ipvfuture(base), _lower_ipvfuture(ref))
         parts = urlsplit(absolute)
     except ValueError as exc:
         raise Unparseable(f"cannot parse URL {raw!r}: {exc}") from exc

@@ -2,7 +2,9 @@ import html
 import json
 import random
 import signal
+import sys
 import tempfile
+import threading
 import time
 from collections import Counter, deque
 from contextlib import contextmanager
@@ -132,18 +134,17 @@ class TestExtractHtmlLinks:
         # "href" can be spelled from these characters.
         assert extract_html_links(text.encode(), "http://x/") == []
 
-    def test_empty_params_of_absolute_href_depend_on_base_scheme(self):
-        # urljoin drops an empty ";params" only when href and base share a
-        # scheme ("http://h/x" against an http base, "http://h/x;" against
-        # an https one), so even an absolute href resolves per base.
-        body = b'<a href="http://h/x;">x</a>'
-        for base in ("http://b/", "https://b/", "http://c/"):
-            assert extract_html_links(body, base) == [normalize_url("http://h/x;", base)]
+    def test_semicolon_ending_an_href_stays(self):
+        # RFC 3986 keeps it in the path, where urljoin's urlparse reads it
+        # as empty ";params" and drops it.
+        assert extract_html_links(b'<a href="x;">', "http://h/") == ["http://h/x;"]
+        for base in ("http://b/", "https://b/", "http://c/d;"):
+            assert extract_html_links(b'<a href="http://h/x;">x</a>', base) == ["http://h/x;"]
 
 
-# Hrefs whose normalization depends on the base in subtle ways: empty
-# params, empty or whitespace-only authorities, characters urlsplit
-# deletes, bad brackets and ports, other schemes.
+# Hrefs whose normalization depends on the base in subtle ways (empty or
+# whitespace-only authorities, characters urlsplit deletes, bad brackets
+# and ports, other schemes), and a ";" ending the path.
 HREFS = [
     "http://h/x;", "https://h/x;", "http:///x", "https:///x", "http://", "http:// ",
     "http://\t/x", "http://\n/x", "http://\r/x", "https://\r\n", "http://h\n/x", "http://h/\tx",
@@ -320,7 +321,7 @@ OTHER_PIECES = {
     '<base href="http://c/"<p>': ["http://c/after.html"],
     '<a href="x&quot">': ['http://x/x"', AFTER],
     '<a href="?a=1&copy=2">': ["http://x/?a=1&copy=2", AFTER],  # html.parser: ?a=1©=2
-    '<a href="&notit;">': ["http://x/&notit", AFTER],  # html.parser: ¬it
+    '<a href="&notit;">': ["http://x/&notit;", AFTER],  # html.parser: ¬it
     '<a href="&AMP;">': ["http://x/&", AFTER],
 }
 # Constructs that hide the tag put in place of {}, and end before the
@@ -571,12 +572,15 @@ def reference_bfs(seeds, links, max_depth):
 
 
 class SlowStaticTransport(StaticTransport):
-    """StaticTransport whose fetches take 20 ms, counting the most requests
-    in flight to one host (userinfo left out)."""
+    """StaticTransport whose fetches take ``delay`` seconds, counting the
+    most requests in flight to one host (userinfo left out) and to all
+    hosts together."""
 
-    def __init__(self, pages):
+    def __init__(self, pages, delay=0.02):
         super().__init__(pages)
+        self.delay = delay
         self.most_in_flight = 0
+        self.most_in_flight_overall = 0
         self._in_flight: Counter = Counter()
 
     def get(self, url):
@@ -584,12 +588,23 @@ class SlowStaticTransport(StaticTransport):
         with self._lock:
             self._in_flight[host] += 1
             self.most_in_flight = max(self.most_in_flight, self._in_flight[host])
+            self.most_in_flight_overall = max(self.most_in_flight_overall, self._in_flight.total())
         try:
-            time.sleep(0.02)
+            time.sleep(self.delay)
             return super().get(url)
         finally:
             with self._lock:
                 self._in_flight[host] -= 1
+
+
+def multi_host_site(hosts, leaves=2):
+    """Pages on each host: an index.html that links its leaf pages."""
+    pages = {}
+    for host in hosts:
+        names = [f"p{i}.html" for i in range(leaves)]
+        pages[f"{host}/index.html"] = (200, "text/html", "".join(f'<a href="{n}">' for n in names).encode())
+        pages.update({f"{host}/{name}": (200, "text/html", b"<p>leaf</p>") for name in names})
+    return pages
 
 
 def run_crawl(transport, tmp_path, **overrides):
@@ -946,6 +961,50 @@ class TestCrawl:
             by_host.setdefault(url.split("/")[2], []).append(started)
         for starts in by_host.values():
             assert all(b - a >= 0.020 for a, b in zip(starts, starts[1:]))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_fetches_in_flight_reach_workers_and_no_more(self, tmp_path, workers):
+        hosts = [f"http://h{i}.test" for i in range(4)]
+        transport = SlowStaticTransport(multi_host_site(hosts, leaves=3))
+        report, _, _ = run_crawl(transport, tmp_path, seeds=[f"{h}/index.html" for h in hosts], workers=workers)
+        assert report.pages_fetched == 16
+        assert transport.most_in_flight == 1
+        assert transport.most_in_flight_overall == workers
+
+    def test_more_workers_than_cores_under_fast_thread_switches(self, tmp_path):
+        # Hand-offs between the dispatcher and 6 fetch threads, switched
+        # every microsecond: no page is lost, fetched twice or fetched
+        # beside another request to its host.
+        hosts = [f"http://h{i}.test" for i in range(8)]
+        transport = SlowStaticTransport(multi_host_site(hosts, leaves=5), delay=0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report, _, _ = run_crawl(transport, tmp_path, seeds=[f"{h}/index.html" for h in hosts], workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        fetched = [u for u in transport.requested_urls() if not u.endswith("/robots.txt")]
+        assert sorted(fetched) == sorted(url for url in multi_host_site(hosts, leaves=5))
+        assert report.pages_fetched == 48 and report.errors == []
+        assert transport.most_in_flight == 1
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_fetch_that_raises_leaves_no_thread(self, tmp_path, workers):
+        # Anything a fetch raises but a FetchError is a fault, not an error
+        # kind: crawl() raises it, and every fetch thread has ended by then.
+        class FaultyTransport(SlowStaticTransport):
+            def get(self, url):
+                if url == "http://h1.test/p0.html":
+                    raise RuntimeError(f"fault fetching {url}")
+                return super().get(url)
+
+        hosts = [f"http://h{i}.test" for i in range(3)]
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="fault fetching http://h1.test/p0.html"):
+            run_crawl(
+                FaultyTransport(multi_host_site(hosts)), tmp_path, seeds=[f"{h}/index.html" for h in hosts], workers=workers
+            )
+        assert set(threading.enumerate()) == before
 
     def test_host_with_userinfo_shares_politeness_and_robots(self, tmp_path):
         # "u@h.test" and "h.test" are one host: one robots.txt, one request

@@ -34,6 +34,28 @@ def test_unparseable():
         normalize_url("http://", "http://")  # no host anywhere to resolve against
 
 
+@pytest.mark.parametrize(
+    "raw, base, expected",
+    [
+        ("a;", "http://x/", "http://x/a;"),
+        ("http://x/a;", "http://x/", "http://x/a;"),
+        ("https://h/x;", "http://x/", "https://h/x;"),
+        ("a;?q=1", "http://x/", "http://x/a;?q=1"),
+        (";", "http://x/d/e", "http://x/d/;"),
+        (";#f", "http://x/d/e", "http://x/d/;"),
+        ("?q", "http://x/a;", "http://x/a;?q"),
+        ("#f", "http://x/a;", "http://x/a;"),
+        ("..;p", "http://x/d/", "http://x/d/..;p"),
+        ("a;p", "http://x/d/", "http://x/d/a;p"),
+        ("y", "http://x/a;p", "http://x/y"),
+    ],
+)
+def test_semicolons_stay_in_the_path(raw, base, expected):
+    # RFC 3986 has no ";params": a ";" is a path character like any other,
+    # and "..;p" is no dot segment.
+    assert normalize_url(raw, base) == expected
+
+
 def test_hostless_reference_takes_host_from_base():
     assert normalize_url("http:///nohost", "http://x/") == "http://x/nohost"
 
@@ -148,7 +170,7 @@ NOISE = ["\t", "\r", "\n", "\\", " ", "%", "x:", ";p"]
 BASES = [
     "http://b/", "http://b/d/e.html", "http://b/d/", "https://b:8443/a/b/c?q", "http://b//x/", "http://b/a//b/",
     "http://b", "http://b:80/x", "http://b:/x", "http://b:080/x", "http://b:99999/x", "https://b:443/p/",
-    "http://u@b/x", "http://B/x", "HTTP://b/x", "http://b/x;p/y", "http://b/x?q#f", "http://b/a/../b/",
+    "http://u@b/x", "http://B/x", "HTTP://b/x", "http://b/x;p/y", "http://b/x;", "http://b/x?q#f", "http://b/a/../b/",
     "http://b/\tx/", "http://b/a b/", "http://b?q", "mailto:x", "", "http://b:" + "9" * 5000 + "/",
 ]
 
@@ -160,7 +182,7 @@ BASES = [
     | st.lists(st.sampled_from(REF_PIECES + NOISE), max_size=10).map("".join),
     st.sampled_from(BASES),
 )
-@example("", "a;", "http://b/d/")  # urlparse drops an empty ";params"
+@example("", "a;", "http://b/d/")  # a ";" ending the path stays (urlparse reads empty ";params")
 @example("", "../../a", "http://b/d/")  # ".." above the root, then the leading "/"
 @example("", "a//b", "http://b/d//e")  # urljoin drops empty middle segments
 @example("http://h:080", "/a", "http://b/")  # the default port, after int()
@@ -174,7 +196,7 @@ def test_fast_path_equals_urljoin_urlsplit(head, tail, base):
 
 @pytest.mark.parametrize(
     "raw",
-    ["a.html", "/d/x.owl", "../up.html", "./here/", "HTTP://H.Test:80/p#top", "https://h/?q=1", "mailto:a@b", "javascript:void(0)"],
+    ["a.html", "/d/x.owl", "../up.html", "./here/", "a;", "HTTP://H.Test:80/p#top", "https://h/?q=1", "mailto:a@b", "javascript:void(0)"],
 )
 def test_plain_references_take_the_fast_path(raw):
     base = normalize_url("/d/p.html", "http://h.test/")
