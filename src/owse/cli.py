@@ -118,12 +118,13 @@ def cmd_crawl(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     config.validate()  # before any store directory is created
     data_dir = _require_data_dir(args, parser)
     data_dir.mkdir(parents=True, exist_ok=True)
-    report = crawler.crawl(
-        config,
-        transport=HttpTransport(),
-        url_repo=UrlRepository(data_dir),
-        ontology_repo=OntologyRepository(data_dir),
-    )
+    with HttpTransport() as transport:
+        report = crawler.crawl(
+            config,
+            transport=transport,
+            url_repo=UrlRepository(data_dir),
+            ontology_repo=OntologyRepository(data_dir),
+        )
     print(f"pages_fetched: {report.pages_fetched}")
     print(f"ontologies_found: {report.ontologies_found}")
     print(f"errors: {len(report.errors)}")
@@ -137,7 +138,8 @@ def cmd_crawl(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def cmd_index(args: argparse.Namespace, data_dir: Path) -> int:
     from .transport import HttpTransport
 
-    report = indexer.run_indexer(data_dir, transport=HttpTransport())
+    with HttpTransport() as transport:
+        report = indexer.run_indexer(data_dir, transport=transport)
     print(f"indexed: {report.indexed} skipped: {report.skipped}")
     for url, reason in report.warnings:
         print(f"  skipped {url}: {reason}")

@@ -103,7 +103,7 @@ def _merge(base_path: str, ref_path: str) -> str:
     return path if path[:1] == "/" else "/" + path
 
 
-def _join(base: str, ref: str) -> str:
+def join(base: str, ref: str) -> str:
     """urljoin(base, ref), on urlsplit's parts. urljoin reads ";params" off
     the last path segment, as RFC 1808 did: it drops the ";" of empty
     params ("a;" joins as "a") and takes "..;p" for a ".." segment. RFC
@@ -179,7 +179,7 @@ def normalize_url(raw: str, base: str) -> str:
             return f"{scheme}://{netloc}{path}?{query}" if query else f"{scheme}://{netloc}{path}"
 
     try:
-        absolute = _join(_lower_ipvfuture(base), _lower_ipvfuture(ref))
+        absolute = join(_lower_ipvfuture(base), _lower_ipvfuture(ref))
         parts = urlsplit(absolute)
     except ValueError as exc:
         raise Unparseable(f"cannot parse URL {raw!r}: {exc}") from exc

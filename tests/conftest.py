@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from owse.fixture_server import FixtureServer
+from owse.transport import HttpTransport
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 WEBROOT = REPO_ROOT / "fixtures" / "webroot"
@@ -35,3 +36,10 @@ def fixture_site():
     """Base URL of a live HTTP server over fixtures/webroot."""
     with FixtureServer(WEBROOT) as server:
         yield server.base_url
+
+
+@pytest.fixture
+def http_transport():
+    """An HttpTransport whose idle connections are closed after the test."""
+    with HttpTransport() as transport:
+        yield transport

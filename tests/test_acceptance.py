@@ -44,13 +44,14 @@ def crawl_config(seed, **overrides):
 
 
 def run_pipeline(data_dir, seed, **overrides):
-    report = crawl(
-        crawl_config(seed, **overrides),
-        transport=HttpTransport(),
-        url_repo=UrlRepository(data_dir),
-        ontology_repo=OntologyRepository(data_dir),
-    )
-    run_indexer(data_dir, transport=HttpTransport())
+    with HttpTransport() as transport:
+        report = crawl(
+            crawl_config(seed, **overrides),
+            transport=transport,
+            url_repo=UrlRepository(data_dir),
+            ontology_repo=OntologyRepository(data_dir),
+        )
+        run_indexer(data_dir, transport=transport)
     return report
 
 
@@ -85,19 +86,19 @@ def rederive_summaries(data_dir):
     return summaries
 
 
-def test_c1_fixture_end_to_end_discovery(tmp_path, fixture_site, expected_crawl):
+def test_c1_fixture_end_to_end_discovery(tmp_path, fixture_site, expected_crawl, http_transport):
     started = time.monotonic()
     seed = f"{fixture_site}/index.html"
 
     report_off = crawl(
         crawl_config(seed, politeness_ms=50),
-        transport=HttpTransport(),
+        transport=http_transport,
         url_repo=UrlRepository(tmp_path / "off"),
         ontology_repo=OntologyRepository(tmp_path / "off"),
     )
     report_on = crawl(
         crawl_config(seed, politeness_ms=50, follow_ontology_links=True),
-        transport=HttpTransport(),
+        transport=http_transport,
         url_repo=UrlRepository(tmp_path / "on"),
         ontology_repo=OntologyRepository(tmp_path / "on"),
     )
@@ -112,7 +113,7 @@ def test_c1_fixture_end_to_end_discovery(tmp_path, fixture_site, expected_crawl)
     print(f"\nACCEPTANCE 1 discovery (3 without / 4 with import following, {elapsed:.1f}s): PASS")
 
 
-def test_c2_budget_and_depth_properties(tmp_path, fixture_site, expected_crawl):
+def test_c2_budget_and_depth_properties(tmp_path, fixture_site, expected_crawl, http_transport):
     started = time.monotonic()
     pages_by_depth = expected_crawl["html_pages_fetched_by_max_depth"]
     for max_pages in (1, 2, 5, 100):
@@ -123,7 +124,7 @@ def test_c2_budget_and_depth_properties(tmp_path, fixture_site, expected_crawl):
                 crawl_config(
                     f"{fixture_site}/index.html", max_pages=max_pages, max_depth=max_depth
                 ),
-                transport=HttpTransport(),
+                transport=http_transport,
                 url_repo=url_repo,
                 ontology_repo=OntologyRepository(data_dir),
             )
@@ -141,9 +142,9 @@ def test_c2_budget_and_depth_properties(tmp_path, fixture_site, expected_crawl):
     print(f"\nACCEPTANCE 2 budget/depth grid (16 combos, {elapsed:.1f}s): PASS")
 
 
-def test_c3_politeness_spacing(tmp_path, fixture_site):
+def test_c3_politeness_spacing(tmp_path, fixture_site, http_transport):
     interval_ms = 200
-    transport = RecordingTransport(HttpTransport())
+    transport = RecordingTransport(http_transport)
     crawl(
         crawl_config(f"{fixture_site}/index.html", politeness_ms=interval_ms, max_pages=6),
         transport=transport,

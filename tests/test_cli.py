@@ -12,7 +12,6 @@ import pytest
 from owse import cli
 from owse.indexer import INDEX_NAME, load_index
 from owse.storage import OntologyRepository, UrlRecord, UrlRepository
-from owse.transport import HttpTransport
 
 from conftest import REPO_ROOT, WEBROOT
 
@@ -163,8 +162,8 @@ class TestQueryAndStats:
 
 
 class TestFixtureServer:
-    def test_content_types_and_404(self, fixture_site):
-        get = HttpTransport().get
+    def test_content_types_and_404(self, fixture_site, http_transport):
+        get = http_transport.get
         page = get(f"{fixture_site}/index.html")
         assert page.status == 200
         assert page.content_type == "text/html"
