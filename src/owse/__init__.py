@@ -20,7 +20,8 @@ import importlib
 __version__ = "1.0.0"
 
 # Exported name -> submodule defining it. Imported on first access (PEP
-# 562), so ``owse query`` never loads the crawler, transport or store.
+# 562), so ``owse query`` never loads the crawler, transport, store or
+# RDF/XML parser.
 _EXPORTS = {
     "CrawlConfig": "crawler",
     "FetchResponse": "transport",

@@ -9,7 +9,6 @@ failure, 2 usage error, 3 empty query result.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from pathlib import Path
@@ -18,8 +17,9 @@ from . import indexer, query as query_mod
 from .errors import ConfigError, CorruptIndex, NotFound, OwseError, VersionMismatch
 
 # The crawler, transport, store and fixture server are imported inside
-# the commands that use them: ``owse query`` loads only the index and
-# query modules.
+# the commands that use them, the RDF/XML parser by the indexer when it
+# first parses, and logging only under --log-level: ``owse query`` loads
+# only the index, query and error modules.
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -209,6 +209,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.log_level:
+        import logging
+
         logging.basicConfig(level=args.log_level.upper(), format="%(levelname)s %(name)s: %(message)s")
     try:
         if args.command == "fixture":

@@ -10,25 +10,21 @@ from __future__ import annotations
 
 import gc
 import json
-import logging
 import os
 import re
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CorruptIndex, CorruptObject, FetchError, NotFound, VersionMismatch
 from .errors import NotRdf, XmlNotWellFormed
-from .ontology import OntologySummary, parse_rdfxml, summarize_ontology
 
 if TYPE_CHECKING:
+    from .ontology import OntologySummary, TripleSet
     from .transport import Transport
-
-log = logging.getLogger(__name__)
 
 INDEX_NAME = "index.json"
 INDEX_VERSION = 1
@@ -63,9 +59,8 @@ class Posting(NamedTuple):
     tf: int
 
 
-@dataclass
-class DocEntry:
-    """Doc-table row: one indexed ontology."""
+class DocEntry(NamedTuple):
+    """Doc-table row: one indexed ontology, a named tuple."""
 
     blob_id: str
     url: str
@@ -75,10 +70,23 @@ class DocEntry:
     relation_count: int
 
 
-@dataclass
 class InvertedIndex:
-    doc_table: list[DocEntry] = field(default_factory=list)
-    postings: dict[str, list[Posting]] = field(default_factory=dict)
+    """The doc table and each term's posting list. Equal when both are
+    equal; a new index starts with an empty list and dict of its own."""
+
+    def __init__(
+        self, doc_table: list[DocEntry] | None = None, postings: dict[str, list[Posting]] | None = None
+    ) -> None:
+        self.doc_table = [] if doc_table is None else doc_table
+        self.postings = {} if postings is None else postings
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.doc_table, self.postings) == (other.doc_table, other.postings)
+
+    def __repr__(self) -> str:
+        return f"InvertedIndex(doc_table={self.doc_table!r}, postings={self.postings!r})"
 
     @property
     def doc_count(self) -> int:
@@ -298,19 +306,38 @@ def load_index(path: str | Path) -> InvertedIndex:
     return InvertedIndex(doc_table=doc_table, postings=raw_postings)
 
 
-@dataclass
 class IndexReport:
-    """Outcome of ``run_indexer``: ``warnings`` are (url, reason) of
-    skipped documents, ``parse_warnings`` counts the indexed documents'
-    parser warnings by kind (see ``TripleSet``)."""
+    """Outcome of ``run_indexer``, which fills a new, zeroed report:
+    ``warnings`` are (url, reason) of skipped documents, ``parse_warnings``
+    counts the indexed documents' parser warnings by kind (see
+    ``TripleSet``)."""
 
-    indexed: int = 0
-    warnings: list[tuple[str, str]] = field(default_factory=list)
-    parse_warnings: Counter[str] = field(default_factory=Counter)
+    def __init__(self) -> None:
+        self.indexed = 0
+        self.warnings: list[tuple[str, str]] = []
+        self.parse_warnings: Counter[str] = Counter()
 
     @property
     def skipped(self) -> int:
         return len(self.warnings)
+
+
+# The parser stays out of ``owse query``, which imports this module: each
+# forwarder imports its namesake from ``owse.ontology`` when first called.
+# ``run_indexer`` calls them as module globals, so a caller can replace
+# either one.
+def parse_rdfxml(data: bytes, base: str) -> TripleSet:
+    """``owse.ontology.parse_rdfxml``."""
+    from .ontology import parse_rdfxml
+
+    return parse_rdfxml(data, base)
+
+
+def summarize_ontology(triples: TripleSet, source_url: str, blob_id: str, size_bytes: int) -> OntologySummary:
+    """``owse.ontology.summarize_ontology``."""
+    from .ontology import summarize_ontology
+
+    return summarize_ontology(triples, source_url, blob_id, size_bytes)
 
 
 @_collector_paused()
@@ -324,8 +351,11 @@ def run_indexer(data_dir: str | Path, transport: Transport) -> IndexReport:
     itself only fails on store-level I/O errors. ``data_dir`` is created
     if it is missing.
     """
+    import logging
+
     from .storage import OntologyRepository, UrlRepository
 
+    log = logging.getLogger(__name__)
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     url_repo = UrlRepository(data_dir)

@@ -12,8 +12,9 @@ object comes from rdf:resource, from exactly one nested node element, or
 from literal text content. xml:base is honored. Everything else
 (parseType, containers, collections, reification) makes the parser skip
 that property element with a recorded warning and continue. An element
-whose rdf:about, rdf:resource or xml:base urljoin cannot resolve (an
-unbalanced IPv6 bracket, say) is skipped with its content and a warning.
+whose rdf:about, rdf:resource or xml:base ``urls.join`` cannot resolve
+(an unbalanced IPv6 bracket, say) is skipped with its content and a
+warning.
 Node elements nest at most MAX_NODE_DEPTH deep: a property element whose
 object would go deeper is skipped with its content and a warning.
 """
@@ -25,8 +26,8 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
-from urllib.parse import urljoin
 
+from . import urls
 from .errors import NotRdf, XmlNotWellFormed
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -143,21 +144,21 @@ class _Parser:
             return iri
 
     def join(self, base: str, ref: str) -> str:
-        """``urljoin(base, ref)``.
+        """``urls.join(base, ref)``.
 
         A fragment-only reference replaces the base's fragment (RFC 3986
         section 5.2), so it is resolved as a per-base prefix plus the
-        fragment; the prefix itself comes from urljoin.
+        fragment; the prefix itself comes from ``urls.join``.
         """
         if len(ref) > 1 and ref[0] == "#" and _URL_STRIPPED.isdisjoint(ref):
             prefix = self._fragment_prefixes.get(base)
             if prefix is None:
-                prefix = self._fragment_prefixes[base] = urljoin(base, "#x")[:-1]
+                prefix = self._fragment_prefixes[base] = urls.join(base, "#x")[:-1]
             return prefix + ref[1:]
-        return urljoin(base, ref)
+        return urls.join(base, ref)
 
     def resolve(self, base: str, ref: str) -> str | None:
-        """``join(base, ref)``, or None with a warning when urljoin rejects
+        """``join(base, ref)``, or None with a warning when ``urls.join`` rejects
         either of them; the caller then skips the element."""
         try:
             return self.join(base, ref)
@@ -293,7 +294,7 @@ def parse_rdfxml(data: bytes, base: str) -> TripleSet:
     the encoding and an unknown declared encoding, and NotRdf when the
     root element is not rdf:RDF.
     Unsupported constructs inside an otherwise valid document, and
-    elements with an IRI urljoin rejects, are skipped with warnings.
+    elements with an IRI ``urls.join`` rejects, are skipped with warnings.
     """
     try:
         root = _xml_root(data)

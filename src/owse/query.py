@@ -15,26 +15,30 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .indexer import FieldKind, InvertedIndex, tokenize
 
 
-@dataclass
-class Query:
+class Query(NamedTuple):
+    """A parsed query, a named tuple."""
+
     unique_terms: set[str]
 
 
-@dataclass
-class ScoredHit:
+class ScoredHit(NamedTuple):
+    """One ranked document, a named tuple: ``matched`` lists the (term,
+    field, tf) postings of the query terms it contains."""
+
     url: str
     blob_id: str
     score: float
-    matched: list[tuple[str, FieldKind, int]] = field(default_factory=list)
+    matched: list[tuple[str, FieldKind, int]]
 
 
-@dataclass
-class SearchResults:
+class SearchResults(NamedTuple):
+    """The ``hits`` of a search, best first, a named tuple."""
+
     hits: list[ScoredHit]
     total_matching: int
     query: Query

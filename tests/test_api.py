@@ -17,6 +17,11 @@ QUERY_PATH_NEVER_IMPORTS = (
     "owse.storage",
     "http.client",
     "http.server",
+    "owse.ontology",
+    "xml.etree.ElementTree",
+    "pyexpat",
+    "dataclasses",
+    "logging",
 )
 
 

@@ -318,6 +318,21 @@ class TestLogLevel:
         assert report(logged.stdout) == report(quiet.stdout)
         assert f"INFO owse.crawler: ontology {fixture_site}/onts/library.rdf stored as " in logged.stderr
 
+    @pytest.mark.parametrize(
+        "options, line",
+        [
+            ([], "skipped urn:x:y: fetch failed: connection"),  # logging's last-resort handler
+            (["--log-level", "warning"], "WARNING owse.indexer: skipped urn:x:y: fetch failed: connection"),
+        ],
+    )
+    def test_skipped_document_reaches_stderr(self, tmp_path, options, line):
+        record = {"url": "urn:x:y", "depth": 0, "discovered_at": "t"}  # append refuses a urn
+        (tmp_path / "urls.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+        result = run_owse(*options, "index", "--data-dir", str(tmp_path))
+        assert result.returncode == 0
+        assert result.stdout == "indexed: 0 skipped: 1\n  skipped urn:x:y: fetch failed: connection\n"
+        assert result.stderr == line + "\n"
+
     def test_unknown_level_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("--log-level", "loud", "stats", "--data-dir", str(tmp_path))

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from owse import indexer, storage
 from owse.indexer import (
+    DocEntry,
     FieldKind,
+    IndexReport,
+    InvertedIndex,
     Posting,
     build_index,
     load_index,
@@ -295,6 +298,45 @@ class TestBuildIndex:
             assert keys == sorted(set(keys)), term
 
 
+class TestIndexTypes:
+    def test_new_indexes_are_equal_and_share_no_container(self):
+        first, second = InvertedIndex(), InvertedIndex()
+        assert first == second
+        assert first.doc_table is not second.doc_table
+        assert first.postings is not second.postings
+        first.doc_table.append(DocEntry("0" * 64, "http://h/o", 1, 0, 0, 0))
+        first.postings["term"] = [Posting(0, FieldKind.LABEL, 1)]
+        assert (second.doc_table, second.postings) == ([], {})
+        assert first != second
+
+    def test_equality_compares_doc_table_and_postings(self):
+        entry = DocEntry("0" * 64, "http://h/o", 1, 0, 0, 0)
+        postings = {"term": [Posting(0, FieldKind.LABEL, 1)]}
+        index = InvertedIndex(doc_table=[entry], postings=postings)
+        assert index == InvertedIndex([entry], {"term": [Posting(0, FieldKind.LABEL, 1)]})
+        assert index != InvertedIndex(doc_table=[entry])
+        assert index != InvertedIndex(postings=postings)
+        assert index != (index.doc_table, index.postings)
+
+    def test_repr_names_both_fields(self):
+        index = InvertedIndex(
+            doc_table=[DocEntry(blob_id="b", url="http://h/o", size_bytes=9, class_count=1,
+                                property_count=2, relation_count=3)],
+            postings={"term": [Posting(0, FieldKind.CLASS_NAME, 2)]},
+        )
+        assert repr(index) == (
+            "InvertedIndex(doc_table=[DocEntry(blob_id='b', url='http://h/o', size_bytes=9,"
+            " class_count=1, property_count=2, relation_count=3)],"
+            " postings={'term': [Posting(doc=0, field=<FieldKind.CLASS_NAME: 'ClassName'>, tf=2)]})"
+        )
+
+    def test_doc_entry_is_a_tuple_of_its_fields(self):
+        entry = DocEntry(blob_id="b", url="http://h/o", size_bytes=9, class_count=1, property_count=2,
+                         relation_count=3)
+        assert entry == ("b", "http://h/o", 9, 1, 2, 3)
+        assert entry.url == "http://h/o"
+
+
 class TestRunIndexer:
     def journal(self, tmp_path, urls):
         repo = UrlRepository(tmp_path)
@@ -382,6 +424,27 @@ class TestRunIndexer:
             assert gc.isenabled()
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+    def test_calls_the_module_global_summarize_ontology(self, tmp_path, webroot, monkeypatch):
+        seen = []
+        real_summarize = indexer.summarize_ontology
+
+        def summarize(triples, source_url, blob_id, size_bytes):
+            seen.append(source_url)
+            return real_summarize(triples, source_url, blob_id, size_bytes)
+
+        monkeypatch.setattr(indexer, "summarize_ontology", summarize)
+        urls = [f"{FIXTURE_HOST}/onts/{name}" for name in ONT_NAMES]
+        self.journal(tmp_path, urls)
+        assert run_indexer(tmp_path, static_site_from(webroot)).indexed == len(urls)
+        assert seen == urls
+
+    def test_report_starts_from_zero(self):
+        first, second = IndexReport(), IndexReport()
+        assert (first.indexed, first.skipped, first.warnings, first.parse_warnings) == (0, 0, [], Counter())
+        first.warnings.append(("http://h/x", "empty-document"))
+        first.parse_warnings["parse-type"] += 1
+        assert (second.skipped, second.warnings, second.parse_warnings) == (0, [], Counter())
 
     def test_empty_journal_persists_empty_index(self, tmp_path, webroot):
         data_dir = tmp_path / "fresh"  # created by run_indexer

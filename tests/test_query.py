@@ -168,6 +168,24 @@ class TestScoreOntology:
         assert after > before
 
 
+class TestResultTypes:
+    def test_built_by_keyword_and_compared(self):
+        matched = [("book", FieldKind.CLASS_NAME, 1)]
+        hit = ScoredHit(url="http://h/o", blob_id="0" * 64, score=1.5, matched=matched)
+        assert hit == ScoredHit(url="http://h/o", blob_id="0" * 64, score=1.5, matched=list(matched))
+        assert hit != ScoredHit(url="http://h/o", blob_id="0" * 64, score=2.0, matched=matched)
+        query = parse_query("book")
+        results = SearchResults(hits=[hit], total_matching=1, query=query)
+        assert results == SearchResults(hits=[hit], total_matching=1, query=parse_query("Book"))
+        assert results != SearchResults(hits=[], total_matching=1, query=query)
+
+    def test_each_is_a_tuple_of_its_fields(self):
+        hit = ScoredHit(url="http://h/o", blob_id="b", score=1.5, matched=[])
+        results = SearchResults(hits=[hit], total_matching=1, query=parse_query("x1"))
+        assert hit == ("http://h/o", "b", 1.5, [])
+        assert results == ([hit], 1, ({"x1"},))
+
+
 class TestSearch:
     def test_single_match(self):
         index = build_index(three_doc_corpus())
