@@ -64,9 +64,13 @@ def search(raw: str, index: InvertedIndex, top_k: int = 10) -> SearchResults:
         for doc, field_sum in by_doc.items():
             per_doc[doc] = per_doc.get(doc, 0.0) + idf * field_sum
 
-    candidates = [doc for doc, score in per_doc.items() if score > 0]
+    scores = [score for score in per_doc.values() if score > 0]
+    # Only documents that reach the k-th best score can rank, so the URL
+    # tie-break is read for those alone.
+    cut = min(heapq.nlargest(top_k, scores), default=math.inf)
     doc_table = index.doc_table
-    top = heapq.nsmallest(top_k, candidates, key=lambda doc: (-per_doc[doc], doc_table[doc].url))
+    near = [doc for doc, score in per_doc.items() if score >= cut]
+    top = sorted(near, key=lambda doc: (-per_doc[doc], doc_table[doc].url))[:top_k]
     matched: dict[int, list[tuple[str, FieldKind, int]]] = {doc: [] for doc in top}
     for term in terms:
         for doc, kind, tf in index.postings[term]:
@@ -82,4 +86,4 @@ def search(raw: str, index: InvertedIndex, top_k: int = 10) -> SearchResults:
         )
         for doc in top
     ]
-    return SearchResults(hits=hits, total_matching=len(candidates), query=query)
+    return SearchResults(hits=hits, total_matching=len(scores), query=query)
