@@ -243,7 +243,7 @@ def load_index(path: str | Path) -> InvertedIndex:
         raise CorruptIndex(f"{path}: not a JSON object")
 
     version = payload.get("version")
-    if version != INDEX_VERSION:
+    if version.__class__ is not int or version != INDEX_VERSION:
         raise VersionMismatch(f"{path}: unknown index version {version!r}")
 
     try:

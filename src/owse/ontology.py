@@ -14,7 +14,9 @@ from literal text content. xml:base is honored. Everything else
 that property element with a recorded warning and continue. An element
 whose rdf:about, rdf:resource or xml:base ``urls.join`` cannot resolve
 (an unbalanced IPv6 bracket, say) is skipped with its content and a
-warning.
+warning. A reference ``head#frag`` resolves as a prefix cached per (base,
+head) plus frag: ``urls.join`` runs once per base and head, not per
+reference.
 Node elements nest at most MAX_NODE_DEPTH deep: a property element whose
 object would go deeper is skipped with its content and a warning.
 """
@@ -60,6 +62,8 @@ _RDF_PARSETYPE = "{%s}parseType" % RDF_NS
 _RDF_NODEID = "{%s}nodeID" % RDF_NS
 _RDF_LI_TAG = "{%s}li" % RDF_NS
 _XML_BASE = "{%s}base" % XML_NS
+_RDF_DESCRIPTION = RDF_NS + "Description"
+_LITERAL_ATTRIBUTES = frozenset(["{%s}lang" % XML_NS, "{%s}datatype" % RDF_NS])
 _URL_STRIPPED = frozenset("\t\r\n")  # urlsplit deletes these anywhere in a URL
 
 # The parser recurses twice per node level. A fixed bound, well inside the
@@ -87,6 +91,7 @@ class Literal(str):
 
 
 _RDF_TYPE_IRI = Iri(RDF_TYPE)
+_new_tuple = tuple.__new__  # a named tuple without its Python-level __new__
 
 
 class Triple(NamedTuple):
@@ -134,7 +139,7 @@ class _Parser:
         self._seen: set[tuple] = set()
         self._blank_ids = itertools.count()
         self._tag_iris: dict[str, Iri | None] = {}
-        self._fragment_prefixes: dict[str, str] = {}
+        self._prefixes: dict[tuple[str, str], str] = {}
 
     def tag_iri(self, tag: str) -> Iri | None:
         try:
@@ -146,15 +151,17 @@ class _Parser:
     def join(self, base: str, ref: str) -> str:
         """``urls.join(base, ref)``.
 
-        A fragment-only reference replaces the base's fragment (RFC 3986
-        section 5.2), so it is resolved as a per-base prefix plus the
-        fragment; the prefix itself comes from ``urls.join``.
+        RFC 3986 section 5.2 copies a reference's fragment as it stands, so
+        ``head#frag`` (frag not empty) resolves to a prefix cached per
+        (base, head), which ``urls.join`` gives, plus frag.
         """
-        if len(ref) > 1 and ref[0] == "#" and _URL_STRIPPED.isdisjoint(ref):
-            prefix = self._fragment_prefixes.get(base)
+        head, _, fragment = ref.partition("#")
+        if fragment and _URL_STRIPPED.isdisjoint(ref):
+            key = base, head
+            prefix = self._prefixes.get(key)
             if prefix is None:
-                prefix = self._fragment_prefixes[base] = urls.join(base, "#x")[:-1]
-            return prefix + ref[1:]
+                prefix = self._prefixes[key] = urls.join(base, head + "#x")[:-1]
+            return prefix + fragment
         return urls.join(base, ref)
 
     def resolve(self, base: str, ref: str) -> str | None:
@@ -173,19 +180,22 @@ class _Parser:
 
     def emit(self, subject: str, predicate: Iri, obj: str) -> None:
         key = (subject.__class__, subject, predicate, obj.__class__, obj)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.triples.append(Triple(subject, predicate, obj))
+        if key not in self._seen:
+            self._seen.add(key)
+            self.triples.append(_new_tuple(Triple, (subject, predicate, obj)))
 
-    def _element_base(self, element: ET.Element, base: str) -> str | None:
-        declared = element.get(_XML_BASE)
+    def _element_base(self, attrib: dict[str, str], base: str) -> str | None:
+        declared = attrib.get(_XML_BASE)
         return self.resolve(base, declared) if declared else base
 
     def node_element(self, element: ET.Element, base: str, depth: int) -> str | None:
         """Process a node element ``depth`` levels deep (1 for a child of
-        rdf:RDF), returning its subject (or None if skipped)."""
-        base = self._element_base(element, base)
+        rdf:RDF), returning its subject (or None if skipped). A childless
+        property element other than rdf:li whose tag IRI is memoized, with
+        no attribute but xml:lang and rdf:datatype or only rdf:resource, is
+        handled here; every other one goes to property_element."""
+        attrib = element.attrib
+        base = self._element_base(attrib, base) if attrib else base
         if base is None:
             return None
         type_iri = self.tag_iri(element.tag)
@@ -195,8 +205,8 @@ class _Parser:
             )
             return None
 
-        about = element.get(_RDF_ABOUT)
-        rdf_id = element.get(_RDF_ID)
+        about = attrib.get(_RDF_ABOUT)
+        rdf_id = attrib.get(_RDF_ID)
         if about is not None:
             resolved = self.resolve(base, about)
             if resolved is None:
@@ -205,19 +215,33 @@ class _Parser:
         elif rdf_id is not None:
             subject = Iri(base.split("#", 1)[0] + "#" + rdf_id)
         else:
-            if element.get(_RDF_NODEID) is not None:
+            if attrib.get(_RDF_NODEID) is not None:
                 self.warn("nodeID", "rdf:nodeID on node element ignored; fresh blank node used")
             subject = BlankNode(f"_:b{next(self._blank_ids)}")
 
-        if type_iri != RDF_NS + "Description":
+        if type_iri != _RDF_DESCRIPTION:
             self.emit(subject, _RDF_TYPE_IRI, type_iri)
 
+        tag_iris = self._tag_iris
         for child in element:
-            self.property_element(subject, child, base, depth)
+            attrib = child.attrib
+            predicate = tag_iris.get(child.tag)
+            if predicate is None or len(child) or child.tag == _RDF_LI_TAG:
+                self.property_element(subject, child, attrib, base, depth)
+            elif not attrib or attrib.keys() <= _LITERAL_ATTRIBUTES:
+                self.emit(subject, predicate, Literal(child.text or ""))
+            elif len(attrib) == 1 and _RDF_RESOURCE in attrib and not (child.text and child.text.strip()):
+                resolved = self.resolve(base, attrib[_RDF_RESOURCE])
+                if resolved is not None:
+                    self.emit(subject, predicate, Iri(resolved))
+            else:
+                self.property_element(subject, child, attrib, base, depth)
         return subject
 
-    def property_element(self, subject: str, element: ET.Element, base: str, depth: int) -> None:
-        base = self._element_base(element, base)
+    def property_element(
+        self, subject: str, element: ET.Element, attrib: dict[str, str], base: str, depth: int
+    ) -> None:
+        base = self._element_base(attrib, base)
         if base is None:
             return
         predicate = self.tag_iri(element.tag)
@@ -229,21 +253,21 @@ class _Parser:
         if element.tag == _RDF_LI_TAG:
             self.warn("rdf:li", "skipped rdf:li property element (containers unsupported)")
             return
-        if element.get(_RDF_PARSETYPE) is not None:
+        if attrib.get(_RDF_PARSETYPE) is not None:
             self.warn("parseType", f"skipped property {predicate} with rdf:parseType (unsupported)")
             return
-        if element.get(_RDF_NODEID) is not None:
+        if attrib.get(_RDF_NODEID) is not None:
             self.warn(
                 "nodeID", f"skipped property {predicate} with rdf:nodeID object (unsupported)"
             )
             return
-        if element.get(_RDF_ID) is not None:
+        if attrib.get(_RDF_ID) is not None:
             self.warn(
                 "reification", f"skipped property {predicate} with rdf:ID (reification unsupported)"
             )
             return
 
-        resource = element.get(_RDF_RESOURCE)
+        resource = attrib.get(_RDF_RESOURCE)
         children = list(element)
         has_text = bool(element.text and element.text.strip())
 
@@ -305,7 +329,7 @@ def parse_rdfxml(data: bytes, base: str) -> TripleSet:
         raise NotRdf(f"root element is {found}, not rdf:RDF")
 
     parser = _Parser()
-    doc_base = parser._element_base(root, base)
+    doc_base = parser._element_base(root.attrib, base)
     if doc_base is not None:
         for child in root:
             parser.node_element(child, doc_base, 1)

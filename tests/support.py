@@ -47,6 +47,17 @@ UNSUPPORTED_RDF = (
     "</owl:Class></rdf:RDF>"
 ).encode()
 
+# The literal shapes most published labels and comments take: one
+# class with a language-tagged label and an xsd:string-typed comment.
+TAGGED_LITERALS = (
+    '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+    ' xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"'
+    ' xmlns:owl="http://www.w3.org/2002/07/owl#">'
+    '<owl:Class rdf:about="#Pizza"><rdfs:label xml:lang="en">Pizza</rdfs:label>'
+    '<rdfs:comment rdf:datatype="http://www.w3.org/2001/XMLSchema#string">A dish.</rdfs:comment>'
+    "</owl:Class></rdf:RDF>"
+).encode()
+
 UNSUPPORTED_KINDS = [
     "non-namespaced-tag",
     "nodeID",
@@ -324,7 +335,7 @@ def reference_load_index(path: str | Path) -> InvertedIndex:
         raise CorruptIndex(f"{path}: not a JSON object")
 
     version = payload.get("version")
-    if version != INDEX_VERSION:
+    if version.__class__ is not int or version != INDEX_VERSION:
         raise VersionMismatch(f"{path}: unknown index version {version!r}")
 
     field_by_name = {kind.value: kind for kind in FieldKind}

@@ -31,6 +31,7 @@ from owse.storage import UrlRecord, UrlRepository
 import oracle
 from support import (
     FIXTURE_HOST,
+    TAGGED_LITERALS,
     UNSUPPORTED_KINDS,
     UNSUPPORTED_RDF,
     StaticTransport,
@@ -153,6 +154,12 @@ class TestDocumentPostings:
         pairs = document_postings(summary)
         assert pairs
         assert all(p.field is FieldKind.ONTOLOGY_IRI for _, p in pairs)
+
+    def test_tagged_and_typed_literals_index_as_label_and_comment(self):
+        url = "http://x/o"
+        summary = summarize_ontology(parse_rdfxml(TAGGED_LITERALS, base=url), url, "0" * 64, 1)
+        fields = {(t, p.field) for t, p in document_postings(summary)}
+        assert {("pizza", FieldKind.LABEL), ("dish", FieldKind.COMMENT)} <= fields
 
     def test_tf_aggregates_repeats_within_field(self):
         summary = make_summary("http://x/o.owl", class_names=["PizzaBase", "PizzaTopping"])

@@ -23,7 +23,7 @@ from owse.ontology import (
     summarize_ontology,
 )
 
-from support import UNSUPPORTED_KINDS, UNSUPPORTED_RDF, nested_rdf
+from support import TAGGED_LITERALS, UNSUPPORTED_KINDS, UNSUPPORTED_RDF, nested_rdf
 
 RDFXML_HEAD = (
     '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
@@ -72,6 +72,15 @@ class TestParse:
         literal = tset.triples[-1].object
         assert literal == "Pizza base"
         assert isinstance(literal, Literal)
+
+    def test_language_tagged_and_typed_literals(self):
+        # Published OWL puts xml:lang on most labels; the tag and the
+        # datatype are read past, and each literal keeps its text.
+        tset = parse_rdfxml(TAGGED_LITERALS, base="http://x/o")
+        assert tset.warnings == []
+        assert [(o.__class__, o) for _, _, o in tset.triples[1:]] == [(Literal, "Pizza"), (Literal, "A dish.")]
+        (cls,) = summarize(tset).classes
+        assert (cls.labels, cls.comments) == (["Pizza"], ["A dish."])
 
     def test_html_root_is_not_rdf(self):
         with pytest.raises(NotRdf):
@@ -312,6 +321,90 @@ class TestEncodings:
             parse_rdfxml(data, base="http://x/o")
 
 
+# One property element of a one-node document: the attributes it may
+# carry, and the content shapes it may hold. Every attribute value
+# resolves. The first element of a tag goes through property_element and
+# a later one may take node_element's shortcut, so a list covers both.
+XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
+ATTRIBUTES = {
+    "base": 'xml:base="http://b/d/"',
+    "resource": 'rdf:resource="r#x"',
+    "parseType": 'rdf:parseType="Resource"',
+    "nodeID": 'rdf:nodeID="n"',
+    "ID": 'rdf:ID="i"',
+    "lang": 'xml:lang="en"',
+    "datatype": f'rdf:datatype="{XSD_STRING}"',
+    "foreign": 'ex:note="v"',
+}
+NODE = '<owl:Class rdf:about="#c"/>'
+# name: (content, whether its text before any node is not all whitespace,
+# the number of nodes in it, the literal it makes when it holds none)
+CONTENTS = {
+    "empty": ("", False, 0, ""),
+    "whitespace": ("\n  ", False, 0, "\n  "),
+    "text": (" a &amp; b ", True, 0, " a & b "),
+    "node": (f"\n  {NODE}\n", False, 1, None),
+    "two nodes": (NODE + NODE, False, 2, None),
+    "text then node": ("t" + NODE, True, 1, None),
+    "node then text": (NODE + "t", False, 1, None),  # the text is the node's tail
+}
+TAGS = {"rdfs:label": RDFS_LABEL, "ex:p": "http://ex.test/ns#p", "rdf:li": ontology.RDF_NS + "li", "plain": None}
+PROPERTY_ELEMENTS = st.tuples(
+    st.sampled_from(sorted(TAGS)), st.sets(st.sampled_from(sorted(ATTRIBUTES))), st.sampled_from(sorted(CONTENTS))
+)
+
+
+def property_xml(tag: str, attributes: set[str], content: str) -> str:
+    body = CONTENTS[content][0]
+    attrs = "".join(" " + ATTRIBUTES[name] for name in sorted(attributes))
+    return f"<{tag}{attrs}>{body}</{tag}>" if body else f"<{tag}{attrs}/>"
+
+
+def modelled(subject: str, elements) -> tuple[list, list[str]]:
+    """What the parser yields for ``elements`` under ``subject``: typed
+    triples in order without repeats, and the warning kinds in order."""
+    triples, kinds = [(Iri, subject, RDF_TYPE, Iri, OWL_CLASS)], []
+    for tag, attributes, content in elements:
+        base = urls.join("http://x/o", "http://b/d/") if "base" in attributes else "http://x/o"
+        _, has_text, nodes, text = CONTENTS[content]
+        kind = next((kind for kind, rule in [
+            ("non-namespaced-tag", TAGS[tag] is None),
+            ("rdf:li", tag == "rdf:li"),
+            ("parseType", "parseType" in attributes),
+            ("nodeID", "nodeID" in attributes),
+            ("reification", "ID" in attributes),
+            ("mixed-content", "resource" in attributes and (nodes or has_text)),
+            ("nested-nodes", "resource" not in attributes and (nodes > 1 or nodes and has_text)),
+        ] if rule), None)
+        if kind is not None:
+            kinds.append(kind)
+            continue
+        if "resource" in attributes:
+            obj = Iri, urls.join(base, "r#x")
+        elif nodes:
+            obj = Iri, urls.join(base, "#c")
+            triples.append((*obj, RDF_TYPE, Iri, OWL_CLASS))
+        else:
+            obj = Literal, text
+        triples.append((Iri, subject, TAGS[tag], *obj))
+    return list(dict.fromkeys(triples)), kinds
+
+
+class TestPropertyElementRules:
+    """Each property element is a triple, a warning or nothing, by the
+    attributes it carries and the content it holds, whichever path the
+    parser takes for it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(PROPERTY_ELEMENTS, min_size=1, max_size=4))
+    def test_equals_decision_table(self, elements):
+        body = "".join(property_xml(*element) for element in elements)
+        data = doc(f'<owl:Class rdf:about="#s">{body}</owl:Class>', attrs=' xmlns:ex="http://ex.test/ns#"')
+        tset = parse_rdfxml(data, base="http://x/o")
+        got = [(s.__class__, s, p, o.__class__, o) for s, p, o in tset.triples]
+        assert (got, [kind for kind, _ in tset.warnings]) == modelled("http://x/o#s", elements)
+
+
 BASES = [
     "http://x/o",
     "http://x/o?q=1",
@@ -334,6 +427,11 @@ BASES = [
 ]
 REFS = ["#", "#x", "#a#b", "#%", "#%41", "# x", "#\tx", "#x\r", "#\n", "#é", "#日本"]
 REFS += ["x", "", "/y", "//h/z", "?q", "http://o/#z"]
+# head#frag references: the parser caches one prefix per (base, head).
+HEADS = ["http://o/a.owl", "http://o/a.owl?q=1", "HTTP://O:80/a/../b", "b.owl", "../d/b;", "/r", "?q", "//h/p",
+         "urn:x:y", "URN:x", "mailto:m@x", " ", ""]
+FRAGMENTS = ["x", "Name", "", "#", "\tx", "a\rb", "c\n", "é", "%41"]
+REFS += [head + "#" + fragment for head in HEADS for fragment in ("Name", "", "\tx")]
 SCHEMES = ["http", "https", "ftp", "file", "urn", "mailto", "HTTP", "x-y"]
 URL_CHARS = st.sampled_from(list("ab/.:;@?#[]%=& \t\r\n\x00\x1fé"))
 
@@ -349,6 +447,7 @@ def bases(draw):
 
 REFERENCES = st.one_of(
     st.sampled_from(REFS),
+    st.builds("{}#{}".format, st.sampled_from(HEADS), st.sampled_from(FRAGMENTS)),
     st.text(URL_CHARS, max_size=10).map(lambda s: "#" + s),
     st.text(max_size=10).map(lambda s: "#" + s),
     st.text(URL_CHARS, max_size=10),

@@ -497,6 +497,15 @@ class TestIndexStore:
         with pytest.raises(VersionMismatch):
             load_index(path)
 
+    @pytest.mark.parametrize("version", ["true", "1.0", '"1"', "null"])
+    def test_non_integer_version_is_a_mismatch(self, tmp_path, version):
+        # true and 1.0 compare equal to 1, but save_index writes neither.
+        path = tmp_path / "index.json"
+        path.write_text('{"version": %s, "totals": {"docs": 0}, "doc_table": [], "postings": {}}' % version)
+        for load in (load_index, reference_load_index):
+            with pytest.raises(VersionMismatch):
+                load(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(NotFound):
             load_index(tmp_path / "absent.json")
@@ -579,6 +588,7 @@ def _mutate(payload: dict, draw) -> None:
                 "doc_str", "doc_float", "doc_fraction", "doc_true", "doc_negative", "doc_n",
                 "tf_zero", "tf_str", "field_unknown", "field_list", "row_2", "row_4",
                 "row_not_list", "swap", "duplicate", "empty_term", "empty_list", "twin",
+                "version_true", "version_float",
             ]
         )
     )
@@ -612,6 +622,10 @@ def _mutate(payload: dict, draw) -> None:
         k = draw(st.sampled_from([0, 2]))
         twin[k] = draw(st.sampled_from([float(twin[k]), *([bool(twin[k])] if twin[k] in (0, 1) else [])]))
         rows[i] = twin
+    elif mutation == "version_true":
+        payload["version"] = True
+    elif mutation == "version_float":
+        payload["version"] = float(payload["version"])
     elif mutation == "empty_term":
         postings[""] = postings.pop(term)
     else:
@@ -621,8 +635,8 @@ def _mutate(payload: dict, draw) -> None:
 def _outcome(load, path):
     try:
         return load(path)
-    except CorruptIndex:
-        return CorruptIndex
+    except (CorruptIndex, VersionMismatch) as exc:
+        return exc.__class__
 
 
 class TestLoadIndex:
@@ -649,7 +663,7 @@ class TestLoadIndex:
         path.write_text(json.dumps(payload), encoding="utf-8")
         got, want = _outcome(load_index, path), _outcome(reference_load_index, path)
         assert got == want
-        if got is not CorruptIndex:
+        if got not in (CorruptIndex, VersionMismatch):
             for plist in got.postings.values():
                 assert all(type(p.doc) is int and type(p.tf) is int for p in plist)
 
