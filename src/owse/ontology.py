@@ -63,7 +63,6 @@ _RDF_NODEID = "{%s}nodeID" % RDF_NS
 _RDF_LI_TAG = "{%s}li" % RDF_NS
 _XML_BASE = "{%s}base" % XML_NS
 _RDF_DESCRIPTION = RDF_NS + "Description"
-_LITERAL_ATTRIBUTES = frozenset(["{%s}lang" % XML_NS, "{%s}datatype" % RDF_NS])
 _URL_STRIPPED = frozenset("\t\r\n")  # urlsplit deletes these anywhere in a URL
 
 # The parser recurses twice per node level. A fixed bound, well inside the
@@ -190,10 +189,7 @@ class _Parser:
 
     def node_element(self, element: ET.Element, base: str, depth: int) -> str | None:
         """Process a node element ``depth`` levels deep (1 for a child of
-        rdf:RDF), returning its subject (or None if skipped). A childless
-        property element other than rdf:li whose tag IRI is memoized, with
-        no attribute but xml:lang and rdf:datatype or only rdf:resource, is
-        handled here; every other one goes to property_element."""
+        rdf:RDF), returning its subject (or None if skipped)."""
         attrib = element.attrib
         base = self._element_base(attrib, base) if attrib else base
         if base is None:
@@ -222,29 +218,26 @@ class _Parser:
         if type_iri != _RDF_DESCRIPTION:
             self.emit(subject, _RDF_TYPE_IRI, type_iri)
 
-        tag_iris = self._tag_iris
         for child in element:
-            attrib = child.attrib
-            predicate = tag_iris.get(child.tag)
-            if predicate is None or len(child) or child.tag == _RDF_LI_TAG:
-                self.property_element(subject, child, attrib, base, depth)
-            elif not attrib or attrib.keys() <= _LITERAL_ATTRIBUTES:
-                self.emit(subject, predicate, Literal(child.text or ""))
-            elif len(attrib) == 1 and _RDF_RESOURCE in attrib and not (child.text and child.text.strip()):
+            self.property_element(subject, child, base, depth)
+        return subject
+
+    def property_element(self, subject: str, element: ET.Element, base: str, depth: int) -> None:
+        attrib = element.attrib
+        predicate = self.tag_iri(element.tag)
+        if predicate is not None and not len(element) and element.tag != _RDF_LI_TAG:
+            # The common shapes: a literal without attributes, a bare rdf:resource.
+            if not attrib:
+                self.emit(subject, predicate, Literal(element.text or ""))
+                return
+            if len(attrib) == 1 and _RDF_RESOURCE in attrib and not (element.text and element.text.strip()):
                 resolved = self.resolve(base, attrib[_RDF_RESOURCE])
                 if resolved is not None:
                     self.emit(subject, predicate, Iri(resolved))
-            else:
-                self.property_element(subject, child, attrib, base, depth)
-        return subject
-
-    def property_element(
-        self, subject: str, element: ET.Element, attrib: dict[str, str], base: str, depth: int
-    ) -> None:
+                return
         base = self._element_base(attrib, base)
         if base is None:
             return
-        predicate = self.tag_iri(element.tag)
         if predicate is None:
             self.warn(
                 "non-namespaced-tag", f"skipped property element with non-namespaced tag {element.tag!r}"

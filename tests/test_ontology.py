@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owse import ontology, urls
@@ -323,8 +323,8 @@ class TestEncodings:
 
 # One property element of a one-node document: the attributes it may
 # carry, and the content shapes it may hold. Every attribute value
-# resolves. The first element of a tag goes through property_element and
-# a later one may take node_element's shortcut, so a list covers both.
+# resolves. property_element's shortcut takes a childless element with no
+# attribute or only rdf:resource; the table covers it and the full rules.
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 ATTRIBUTES = {
     "base": 'xml:base="http://b/d/"',
@@ -397,6 +397,15 @@ class TestPropertyElementRules:
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(PROPERTY_ELEMENTS, min_size=1, max_size=4))
+    # The edges of the shortcut: each differs from a shape it takes in one respect.
+    @example([("ex:p", {"resource"}, "text")])
+    @example([("ex:p", {"resource"}, "node")])
+    @example([("ex:p", {"resource", "lang"}, "whitespace")])
+    @example([("ex:p", {"resource", "base"}, "empty"), ("ex:p", {"resource", "ID"}, "empty")])
+    @example([("ex:p", {"lang"}, "text")])
+    @example([("ex:p", set(), "node")])
+    @example([("rdf:li", set(), "empty"), ("rdf:li", {"resource"}, "empty")])
+    @example([("plain", set(), "text"), ("plain", {"resource"}, "empty")])
     def test_equals_decision_table(self, elements):
         body = "".join(property_xml(*element) for element in elements)
         data = doc(f'<owl:Class rdf:about="#s">{body}</owl:Class>', attrs=' xmlns:ex="http://ex.test/ns#"')
