@@ -8,8 +8,9 @@ consume the page budget, successfully stored ontologies consume the
 ontology budget, and the crawl stops the moment either runs out.
 
 Per-host politeness: request starts to the same host are separated by at
-least the configured interval. /robots.txt (user-agent *, Disallow
-prefixes) is honored before the first fetch on each scheme and host.
+least the configured interval. /robots.txt (Disallow prefixes of the
+owse-crawler groups, else of the * groups) is honored before the first
+fetch on each scheme and host.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from urllib.parse import urlsplit
 from .errors import ConfigError, CorruptObject, FetchError, NotFound, NotRdf, OwseError, XmlNotWellFormed
 from .ontology import OWL_IMPORTS, RDFS_SEEALSO, Iri, TripleSet, parse_rdfxml
 from .storage import OntologyRepository, UrlRecord, UrlRepository
-from .transport import FetchResponse, Transport
+from .transport import USER_AGENT, FetchResponse, Transport
 from .urls import host_of, normalize_url
 
 log = logging.getLogger(__name__)
@@ -219,10 +220,17 @@ def extract_ontology_refs(triples: TripleSet) -> list[str]:
     return list(refs)
 
 
+_ROBOTS_TOKEN = USER_AGENT.partition("/")[0].lower()  # owse-crawler, the product token
+
+
 def parse_robots(text: str) -> list[str]:
-    """Disallow path prefixes that apply to user-agent ``*``."""
-    disallows: list[str] = []
-    agents: list[str] = []
+    """Disallow path prefixes that apply to owse (RFC 9309, section 2.2.1):
+    those of every group for owse's product token ``owse-crawler``,
+    matched case-insensitively, or of every group for ``*`` when no group
+    names the token. A group for the token takes the place of ``*`` even
+    with no Disallow line."""
+    groups: dict[str, list[str]] = {}  # lowercased user-agent -> its groups' disallows
+    agents: dict[str, list[str]] = {}  # those of the group being read
     rules_started = False
     for raw_line in text.removeprefix("\ufeff").splitlines():  # a UTF-8 byte order mark is no field
         line = raw_line.split("#", 1)[0].strip()
@@ -233,16 +241,18 @@ def parse_robots(text: str) -> list[str]:
         value = value.strip()
         if fieldname == "user-agent":
             if rules_started:
-                agents = []
+                agents = {}
                 rules_started = False
-            agents.append(value)
+            agent = value.lower()
+            agents[agent] = groups.setdefault(agent, [])
         elif fieldname == "disallow":
             rules_started = True
-            if "*" in agents and value:
-                disallows.append(value)
+            if value:
+                for disallows in agents.values():
+                    disallows.append(value)
         else:
             rules_started = True
-    return disallows
+    return groups.get(_ROBOTS_TOKEN, groups.get("*", []))
 
 
 class _Frontier:

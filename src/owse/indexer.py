@@ -16,6 +16,7 @@ from collections import Counter
 from collections.abc import Iterator
 from contextlib import contextmanager
 from enum import Enum
+from json.decoder import WHITESPACE, scanstring
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -124,11 +125,12 @@ def _collector_paused() -> Iterator[None]:
     """Cyclic collector off for the decorated call, the caller's state put
     back after. It decorates the four entry points that allocate objects
     by the hundred thousand: ``build_index`` (a tuple per posting, 157k
-    for 1000 documents), ``save_index`` and ``load_index`` (a JSON row
-    list per posting) and ``run_indexer``. None of them makes reference
-    cycles: after a whole ``run_indexer`` with the collector off, a
-    collection finds nothing unreachable. The collections these
-    allocations set off only cost time."""
+    for 1000 documents), ``save_index`` (a JSON row list per posting),
+    ``load_index`` (a decoded row list per posting, freed with its term,
+    and a tuple per distinct posting) and ``run_indexer``. None of them
+    makes reference cycles: after a whole ``run_indexer`` with the
+    collector off, a collection finds nothing unreachable. The
+    collections these allocations set off only cost time."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -223,87 +225,166 @@ def _doc_entry(row: dict) -> DocEntry:
     return DocEntry(*strings, *counts)
 
 
+# The member that follows a value in an object as save_index writes it:
+# a comma, a key without escapes or control characters, and a colon, then
+# any whitespace before the member's value. ``_member`` reads every other
+# spelling.
+_NEXT_MEMBER = re.compile(r',"([^"\\\x00-\x1f]*)":[ \t\n\r]*')
+_DECODER = json.JSONDecoder()
+
+
+def _member(text: str, pos: int, first: bool) -> tuple[str | None, int]:
+    """Key of the next member of a JSON object and where its value starts,
+    or None and the position after the object's ``}``. ``pos`` is just
+    past the ``{`` when ``first``, else just past the previous value.
+    JSONDecodeError for anything ``json.loads`` refuses there."""
+    pos = WHITESPACE.match(text, pos).end()
+    if text.startswith("}", pos):
+        return None, pos + 1
+    if not first:
+        if not text.startswith(",", pos):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+        pos = WHITESPACE.match(text, pos + 1).end()
+    if not text.startswith('"', pos):
+        raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, pos)
+    key, pos = scanstring(text, pos + 1)
+    pos = WHITESPACE.match(text, pos).end()
+    if not text.startswith(":", pos):
+        raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+    return key, WHITESPACE.match(text, pos + 1).end()
+
+
+def _read_postings(text: str, pos: int, n_docs: int) -> tuple[dict[str, list[Posting]], str | None, int]:
+    """The posting lists of the JSON object whose ``{`` ends at ``pos``
+    over ``n_docs`` documents, the first problem left among them or None,
+    and the position after its ``}``. Each term's rows are decoded alone
+    and give way to its posting list as they are checked, so at most one
+    term's rows are alive at a time. JSONDecodeError or RecursionError
+    where the text is not JSON.
+
+    As in ``json.loads``, the last value of a repeated term counts, so a
+    term's problem is dropped when a later value of it loads. A row's doc
+    and tf must be of class int before the row is looked up by (doc,
+    field name, tf): true, 1.0 and 0.0 compare and hash equal to 1 and 0.
+    A new key has its field, doc range and tf checked and gets the
+    Posting that every equal row shares, beside its order key doc * 8 +
+    field rank (rank < 8), which must rise strictly along each list. The
+    Posting's doc comes from doc_ids, not from the row: ints allocated
+    one after another, where warm search ran slower over ints scattered
+    through freed JSON rows."""
+    field_by_name = {kind.value: kind for kind in FieldKind}
+    doc_ids = list(range(n_docs))
+    new_posting = tuple.__new__
+    shared: dict[tuple, tuple[Posting, int]] = {}
+    postings: dict[str, list[Posting]] = {}
+    problems: dict[str, str] = {}
+    decode, next_member = _DECODER.raw_decode, _NEXT_MEMBER.match
+    term, pos = _member(text, pos, True)
+    while term is not None:
+        rows, pos = decode(text, pos)
+        if not term or not rows or rows.__class__ is not list:
+            problems[term] = f"term {term!r} has an empty key or no posting list"
+        else:
+            plist = []
+            last = -1
+            for row in rows:
+                try:
+                    doc, field_name, tf = row
+                    if doc.__class__ is not int or tf.__class__ is not int:
+                        raise TypeError("doc and tf must be integers")
+                    entry = shared.get((doc, field_name, tf))  # TypeError for an unhashable field name
+                except (TypeError, ValueError):
+                    entry = False
+                if entry is None:
+                    kind = field_by_name.get(field_name)
+                    if kind is not None and 0 <= doc < n_docs and tf >= 1:
+                        entry = shared[doc, field_name, tf] = new_posting(Posting, (doc_ids[doc], kind, tf)), doc * 8 + kind.rank
+                if not entry:
+                    problems[term] = f"bad posting {row!r} for {term!r}"
+                    break
+                posting, order = entry
+                if order <= last:
+                    problems[term] = f"posting list for {term!r} unsorted or duplicated"
+                    break
+                last = order
+                plist.append(posting)
+            else:
+                postings[term] = plist
+                if problems:
+                    problems.pop(term, None)
+        found = next_member(text, pos)
+        if found is None:
+            term, pos = _member(text, pos, False)
+        else:
+            term, pos = found[1], found.end()
+    return postings, next(iter(problems.values()), None), pos
+
+
 @_collector_paused()
 def load_index(path: str | Path) -> InvertedIndex:
     """Read an index file, validating version and structural invariants:
-    it refuses any value ``save_index`` does not write.
+    it refuses any value ``save_index`` does not write, and gives the
+    outcome ``json.loads`` and those checks would give.
 
-    Equal rows load as one shared ``Posting``: the 1000-document benchmark
-    index lists 157k rows but only 15k distinct (doc, field, tf) triples.
-    Each term's JSON rows give way to its posting list as they are
-    checked, so the decoded payload is the peak of the call."""
+    The file is walked member by member and each term's posting list is
+    decoded on its own, so at most one term's JSON rows are alive at a
+    time; the text, the index being built and the table of shared
+    postings are the peak of the call. Equal rows load as one shared
+    ``Posting``: the 1000-document benchmark index lists 157k rows but
+    only 15k distinct (doc, field, tf) triples. Any text that is not
+    JSON is refused first, then a version other than the integer 1 (the
+    last of repeated ``version`` members, as in ``json.loads``), then
+    every other check."""
     path = Path(path)
     if not path.exists():
         raise NotFound(f"index not found: {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        pos = WHITESPACE.match(text).end()
+        if not text.startswith("{", pos):
+            raise CorruptIndex(f"{path}: not a JSON object")
+        # Postings are read in line, against the size of the doc table
+        # seen so far (save_index writes it first), and read again at the
+        # end if that size is not the last doc table's.
+        members: dict[str, object] = {}
+        postings_at = None  # where the last postings object starts
+        key, pos = _member(text, pos + 1, True)
+        while key is not None:
+            if key == "postings" and text.startswith("{", pos):
+                doc_table = members.get("doc_table")
+                read_against = len(doc_table) if doc_table.__class__ is list else 0
+                postings_at = pos
+                postings, problem, pos = _read_postings(text, pos + 1, read_against)
+            else:
+                members[key], pos = _DECODER.raw_decode(text, pos)
+                if key == "postings":
+                    postings_at = None
+            key, pos = _member(text, pos, False)
+        if WHITESPACE.match(text, pos).end() != len(text):
+            raise json.JSONDecodeError("Extra data", text, pos)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise CorruptIndex(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise CorruptIndex(f"{path}: not a JSON object")
 
-    version = payload.get("version")
+    version = members.get("version")
     if version.__class__ is not int or version != INDEX_VERSION:
         raise VersionMismatch(f"{path}: unknown index version {version!r}")
 
     try:
-        doc_table = [_doc_entry(row) for row in payload["doc_table"]]
-        raw_postings = payload["postings"]
-        totals = payload["totals"]["docs"]
+        doc_table = [_doc_entry(row) for row in members["doc_table"]]
+        totals = members["totals"]["docs"]
     except (KeyError, TypeError) as exc:
         raise CorruptIndex(f"{path}: malformed structure ({exc})") from exc
 
     n_docs = len(doc_table)
     if totals.__class__ is not int or totals != n_docs:
         raise CorruptIndex(f"{path}: totals.docs={totals!r} but doc_table has {n_docs}")
-    if not isinstance(raw_postings, dict):
-        raise CorruptIndex(f"{path}: postings is not a JSON object")
-
-    # One pass. A row's doc and tf must be of class int before the row is
-    # looked up by (doc, field name, tf): true, 1.0 and 0.0 compare and
-    # hash equal to 1 and 0. A new key has its field, doc range and tf
-    # checked and gets the Posting that every equal row shares, beside its
-    # order key doc * 8 + field rank (rank < 8), which must rise strictly
-    # along each list. The Posting's doc comes from doc_ids, not from the
-    # row: the row's ints lie scattered through the payload, and warm
-    # search ran slower over them.
-    field_by_name = {kind.value: kind for kind in FieldKind}
-    doc_ids = list(range(n_docs))
-    new_posting = tuple.__new__
-    shared: dict[tuple, tuple[Posting, int]] = {}
-    for term, rows in raw_postings.items():
-        if not term or not rows:
-            raise CorruptIndex(f"{path}: term {term!r} has an empty key or posting list")
-        if not isinstance(rows, list):
-            raise CorruptIndex(f"{path}: postings of {term!r} are not a list")
-        plist = []
-        last = -1
-        for row in rows:
-            try:
-                doc, field_name, tf = row
-                if doc.__class__ is not int or tf.__class__ is not int:
-                    raise TypeError("doc and tf must be integers")
-                key = doc, field_name, tf
-                entry = shared.get(key)  # TypeError for an unhashable field name
-            except (TypeError, ValueError) as exc:
-                raise CorruptIndex(f"{path}: bad posting {row!r} for {term!r}") from exc
-            if entry is None:
-                kind = field_by_name.get(field_name)
-                if kind is None:
-                    raise CorruptIndex(f"{path}: bad posting {row!r} for {term!r}")
-                if not 0 <= doc < n_docs:
-                    raise CorruptIndex(f"{path}: posting for {term!r} refers to doc {doc}")
-                if tf < 1:
-                    raise CorruptIndex(f"{path}: posting for {term!r} has tf {tf}")
-                entry = shared[key] = new_posting(Posting, (doc_ids[doc], kind, tf)), doc * 8 + kind.rank
-            posting, order = entry
-            if order <= last:
-                raise CorruptIndex(f"{path}: posting list for {term!r} unsorted or duplicated")
-            last = order
-            plist.append(posting)
-        raw_postings[term] = plist
-
-    return InvertedIndex(doc_table=doc_table, postings=raw_postings)
+    if postings_at is None:
+        raise CorruptIndex(f"{path}: postings missing or not a JSON object")
+    if read_against != n_docs:
+        postings, problem, _ = _read_postings(text, postings_at + 1, n_docs)
+    if problem is not None:
+        raise CorruptIndex(f"{path}: {problem}")
+    return InvertedIndex(doc_table=doc_table, postings=postings)
 
 
 class IndexReport:

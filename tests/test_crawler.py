@@ -511,6 +511,37 @@ class TestParseRobots:
     def test_byte_order_mark_is_ignored(self):
         assert parse_robots("\ufeffUser-agent: *\nDisallow: /private/\n") == ["/private/"]
 
+    # RFC 9309, section 2.2.1: the group for the crawler's product token
+    # (owse-crawler, from the User-Agent owse sends) takes the place of *.
+    def test_product_token_group_replaces_star(self):
+        text = "User-agent: *\nDisallow: /b/\n\nUser-agent: owse-crawler\nDisallow: /a/\n"
+        assert parse_robots(text) == ["/a/"]
+
+    @pytest.mark.parametrize("token", ["OWSE-CRAWLER", "Owse-Crawler", "owse-crawler"])
+    def test_product_token_matches_case_insensitively(self, token):
+        text = f"User-agent: {token}\nDisallow: /a/\nUser-agent: *\nDisallow: /b/\n"
+        assert parse_robots(text) == ["/a/"]
+
+    def test_product_token_groups_combine(self):
+        text = (
+            "User-agent: owse-crawler\nDisallow: /a/\n\n"
+            "User-agent: *\nDisallow: /b/\n\n"
+            "User-agent: other\nUser-agent: Owse-Crawler\nDisallow: /c/\n"
+        )
+        assert parse_robots(text) == ["/a/", "/c/"]
+
+    def test_product_token_group_without_disallow_allows_everything(self):
+        assert parse_robots("User-agent: *\nDisallow: /\n\nUser-agent: owse-crawler\nAllow: /\n") == []
+        assert parse_robots("User-agent: *\nDisallow: /\n\nUser-agent: owse-crawler\n") == []
+
+    def test_star_groups_combine_when_no_product_token_group(self):
+        text = "User-agent: *\nDisallow: /a/\n\nUser-agent: owse\nDisallow: /x/\n\nUser-agent: *\nDisallow: /b/\n"
+        assert parse_robots(text) == ["/a/", "/b/"]
+
+    def test_product_token_is_not_a_prefix_match(self):
+        text = "User-agent: owse-crawler-beta\nDisallow: /a/\nUser-agent: *\nDisallow: /b/\n"
+        assert parse_robots(text) == ["/b/"]
+
 
 class ReferenceFrontier:
     """One deque scanned front to back: a dispatch takes the
@@ -733,6 +764,22 @@ class TestCrawl:
         report, _, _ = run_crawl(transport, tmp_path)
         assert f"{FIXTURE_HOST}/private/hidden.html" not in transport.requested_urls()
         assert (f"{FIXTURE_HOST}/private/hidden.html", "robots-disallowed") in report.errors
+
+    def test_robots_group_for_the_product_token_governs_the_crawl(self, tmp_path):
+        # * disallows everything, but owse-crawler's own group only /private/.
+        index, page, private = "http://h.test/index.html", "http://h.test/a.html", "http://h.test/private/b.html"
+        robots = b"User-agent: *\nDisallow: /\n\nUser-agent: OWSE-Crawler\nDisallow: /private/\n"
+        transport = StaticTransport(
+            {
+                "http://h.test/robots.txt": (200, "text/plain", robots),
+                index: (200, "text/html", b'<a href="a.html"><a href="private/b.html">'),
+                page: (200, "text/html", b"<p>a</p>"),
+                private: (200, "text/html", b"<p>b</p>"),
+            }
+        )
+        report, _, _ = run_crawl(transport, tmp_path, seeds=[index])
+        assert transport.requested_urls() == ["http://h.test/robots.txt", index, page]
+        assert report.errors == [(private, "robots-disallowed")]
 
     def test_robots_fetched_once_not_counted(self, tmp_path, webroot, expected_crawl):
         transport = static_site_from(webroot)
