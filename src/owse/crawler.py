@@ -125,14 +125,15 @@ def classify_resource(url: str, content_type: str, body: bytes) -> ResourceKind:
 # opens a value only after an attribute name and "=". Every branch is
 # picked by its first characters and cannot fail after them: the
 # attribute loop ends only at ">" or the end, and a quote the end cuts off
-# runs to the end. So nothing backtracks and the scan is linear. Only
-# <a>, <link> and <base> capture their attributes, and those that no ">"
-# closes are dropped.
+# runs to the end. So nothing backtracks, and the attribute loop is
+# possessive (*+): it keeps no backtracking frame per attribute, and the
+# scan is linear in time and in memory. Only <a>, <link> and <base>
+# capture their attributes, and those that no ">" closes are dropped.
 _SPACE = r"[\t\n\f\r ]"
 _VALUE = r""""[^"]*"?|'[^']*'?|[^\t\n\f\r >]*"""
 # Attribute names and the spaces after them run together up to "/", "="
 # or ">": an "=" opens a value only there, and starts a name anywhere else.
-_ATTRS = rf"[\t\n\f\r /]*(?:[^\t\n\f\r />][^/=>]*(?:={_SPACE}*(?:{_VALUE}))?[\t\n\f\r /]*)*"
+_ATTRS = rf"[\t\n\f\r /]*(?:[^\t\n\f\r />][^/=>]*(?:={_SPACE}*(?:{_VALUE}))?[\t\n\f\r /]*)*+"
 _NAME_END = r"(?![^\t\n\f\r />])"
 _RAW_TEXT = "script|style|xmp|iframe|noembed|noframes|title|textarea"
 _TOKEN = re.compile(
@@ -188,10 +189,12 @@ def extract_html_links(body: bytes, base: str) -> list[str]:
     for tag, attrs, closed, _ in _TOKEN.findall(body.decode("utf-8", errors="replace")):
         if not closed:
             continue
-        for name, equals, value in _ATTR.findall(attrs):
+        for attr in _ATTR.finditer(attrs):
+            name, equals, value = attr.groups()
             # The first href that has a value, as browsers keep the first
-            # of duplicate attributes; names lowercased, references in
-            # values decoded by the attribute rule of _attribute_charref.
+            # of duplicate attributes (read one at a time, so a long tag's
+            # attributes are never all listed); names lowercased, references
+            # in values decoded by the attribute rule of _attribute_charref.
             if equals and name.lower() == "href":
                 href = value[1:-1] if value[:1] in ('"', "'") else value
                 if "&" in href:

@@ -104,10 +104,12 @@ class InvertedIndex:
 # Terms are the camel-case pieces of ASCII alphanumeric runs. A capital
 # joins a piece only at its start or after a digit, and an uppercase run
 # leaves its last capital to the next piece when a lowercase letter
-# follows it (HTTPServer -> HTTP Server).
-_UPPER_RUN = r"[A-Z](?:[A-Z](?![a-z]))*"
+# follows it (HTTPServer -> HTTP Server). Nothing after _UPPER_RUN's loop
+# or _PIECE's outer one can fail, so both are possessive (*+) and keep no
+# backtracking frame per step: memory, like time, is linear in the text.
+_UPPER_RUN = r"[A-Z](?:[A-Z](?![a-z]))*+"
 _PIECE = re.compile(
-    rf"(?:{_UPPER_RUN}|[a-z]|[0-9]+(?:{_UPPER_RUN})?)(?:[a-z]+|[0-9]+(?:{_UPPER_RUN})?)*"
+    rf"(?:{_UPPER_RUN}|[a-z]|[0-9]+(?:{_UPPER_RUN})?)(?:[a-z]+|[0-9]+(?:{_UPPER_RUN})?)*+"
 )
 
 
@@ -184,11 +186,9 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     """Write ``index`` as canonical JSON: version field first, term keys
     sorted and each posting list sorted stably by (doc, field rank), so
     equal indexes produce identical bytes."""
-    name_by_rank = {kind.rank: kind.value for kind in FieldKind}
-
     def rows(plist: list[Posting]) -> list[list]:
         return [
-            [p.doc, name_by_rank[p.field.rank], p.tf]
+            [p.doc, p.field.value, p.tf]
             for p in sorted(plist, key=lambda p: (p.doc, p.field.rank))
         ]
 

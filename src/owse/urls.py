@@ -18,7 +18,7 @@ _DEFAULT_PORTS = {"http": "80", "https": "443"}
 
 # normalize_url's fast path takes a plain reference against a canonical
 # base, and gives what its urljoin/urlsplit body gives on every Python
-# 3.10-3.13, quirks included; anything else takes that body.
+# 3.11-3.13, quirks included; anything else takes that body.
 #
 # A canonical base has the shape normalize_url returns: http or https, a
 # host of [a-z0-9._~-], a port of at most 5 digits (int() refuses over
@@ -34,8 +34,8 @@ _DEFAULT_PORTS = {"http": "80", "https": "443"}
 #    .hostname keeps the case) and a port of at most 5 digits;
 #  - another scheme (a letter, then [A-Za-z0-9+.-] up to ":"), rejected;
 #  - a relative reference whose path is not empty, does not start with
-#    "//" and has no ":" before its first "/", "?" or "#": Python 3.10's
-#    urlsplit reads "0x.html:" as a scheme, 3.11+ as a path.
+#    "//" and has no ":" before its first "/", "?" or "#", because
+#    urlsplit reads "x.html:" as a scheme.
 # In _PLAIN_REF, [!-Z^-~] is any plain character; [!"$-Z^-~] leaves out
 # "#" (a query), [!"$->@-Z^-~] also "?" (a path), and [!"$-.0-9;->@-Z^-~]
 # also "/" and ":" (a first path segment).
@@ -82,13 +82,14 @@ def _netloc(scheme: str, host: str, port: str | None) -> str | None:
 
 
 def _merge(base_path: str, ref_path: str) -> str:
-    """urljoin's resolution of a non-empty reference path against a base
-    path that starts with "/", and the "/" urlunsplit puts after a host."""
+    """urljoin's resolution of a non-empty reference path against a base path."""
     if ref_path[0] == "/":
         segments = ref_path.split("/")
     else:
         segments = base_path.split("/")
-        segments[-1:] = ref_path.split("/")
+        if segments[-1]:  # the base's last segment, unless empty, is no directory
+            del segments[-1]
+        segments += ref_path.split("/")
         segments[1:-1] = filter(None, segments[1:-1])
     resolved: list[str] = []
     for segment in segments:
@@ -99,8 +100,7 @@ def _merge(base_path: str, ref_path: str) -> str:
             resolved.append(segment)
     if segments[-1] in (".", ".."):
         resolved.append("")
-    path = "/".join(resolved)
-    return path if path[:1] == "/" else "/" + path
+    return "/".join(resolved)
 
 
 def join(base: str, ref: str) -> str:
@@ -122,24 +122,7 @@ def join(base: str, ref: str) -> str:
         netloc = bnetloc
     if not path:
         return urlunsplit((scheme, netloc, bpath, query or bquery, fragment))
-    if path[:1] == "/":
-        segments = path.split("/")
-    else:
-        segments = bpath.split("/")
-        if segments[-1]:  # the base's last segment, unless empty, is no directory
-            del segments[-1]
-        segments += path.split("/")
-        segments[1:-1] = filter(None, segments[1:-1])
-    resolved: list[str] = []
-    for segment in segments:
-        if segment == "..":
-            if resolved:
-                resolved.pop()
-        elif segment != ".":
-            resolved.append(segment)
-    if segments[-1] in (".", ".."):
-        resolved.append("")
-    return urlunsplit((scheme, netloc, "/".join(resolved) or "/", query, fragment))
+    return urlunsplit((scheme, netloc, _merge(bpath, path) or "/", query, fragment))
 
 
 def _lower_ipvfuture(url: str) -> str:
@@ -172,6 +155,7 @@ def normalize_url(raw: str, base: str) -> str:
             scheme, host, port, base_path = base_match.groups()
             netloc = _netloc(scheme, host, port)
             path = _merge(base_path, relative)
+            path = path if path[:1] == "/" else "/" + path
         if netloc is not None:
             if path and "/." in path:  # a path without "/." has no dot segment
                 path = remove_dot_segments(path)

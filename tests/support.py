@@ -8,6 +8,7 @@ import os
 import re
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from html.entities import html5
 from html.parser import HTMLParser
@@ -70,6 +71,23 @@ UNSUPPORTED_KINDS = [
     "nested-nodes",
     "unresolvable-iri",
 ]
+
+
+def traced_peak(call, *args):
+    """``call(*args)``, and the most memory it held at once above what was
+    held before it, as tracemalloc counts it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        result = call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak - before
 
 
 def nested_rdf(levels: int) -> bytes:
@@ -201,7 +219,7 @@ class _ReferenceLinkScanner(HTMLParser):
 
 def reference_scan(text: str, base: str) -> tuple[list[str], str]:
     """html.parser's hrefs and effective base of a page, which the link
-    scan must equal on a page every html.parser from Python 3.10 on reads
+    scan must equal on a page every html.parser from Python 3.11 on reads
     alike. html.parser decodes attribute values with html.unescape, which
     knows no attribute rule, so the scan swaps in
     ``reference_unescape_attribute``; the text it decodes is not read."""

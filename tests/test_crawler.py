@@ -38,7 +38,7 @@ from owse.ontology import (
 from owse.storage import OntologyRepository, UrlRepository
 from owse.urls import host_of, normalize_url
 
-from support import FIXTURE_HOST, StaticTransport, nested_rdf, reference_scan, static_site_from
+from support import FIXTURE_HOST, StaticTransport, nested_rdf, reference_scan, static_site_from, traced_peak
 
 RDF_BODY = b'<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"/>'
 
@@ -265,7 +265,7 @@ class TestHrefCharacterReferences:
 
 
 # Pieces of a plain document: markup that every html.parser from Python
-# 3.10 on reads alike, so the link scan must give html.parser's links.
+# 3.11 on reads alike, so the link scan must give html.parser's links.
 PLAIN_PIECES = [
     "<!DOCTYPE html>", "<html>", "</html>", "<p>", "</P>", "some text ", "1 > 0 & 2 ", "&amp;", "\n",
     '<a href="a.html">', "</a>", "<a href='b.html' title=\"t\">", '<A HREF="UP.html" Class=\'c\'>',
@@ -439,6 +439,30 @@ class TestPlainScan:
             started = time.monotonic()
             extract_html_links(text.encode(), "http://x/")
             assert time.monotonic() - started < 1
+
+
+class TestScanMemory:
+    """A page of one long tag scans in memory linear in the page: the
+    attribute loop keeps no backtracking frame per attribute, and a closed
+    tag's attributes are read one at a time, never listed."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "<p " + "x/" * (1 << 19),
+            "<p" + " x=y" * (1 << 18),
+            "<a " + "x/" * (1 << 19) + ">",
+            "<a" + " x=y" * (1 << 18) + ' href="last.html">',
+        ],
+        ids=["open-slashes", "open-attributes", "closed-slashes", "closed-attributes"],
+    )
+    def test_one_tag_of_a_mebibyte_peaks_under_four_times_its_size(self, text):
+        # Each page peaked at 154 to 199 MiB while the loop kept a frame
+        # per attribute; listing a closed tag's attributes cost 19 to 37.
+        body = text.encode()
+        links, peak = traced_peak(extract_html_links, body, "http://x/")
+        assert links == (["http://x/last.html"] if "last" in text else [])
+        assert peak < 4 * len(body), peak
 
 
 class TestExtractOntologyRefs:

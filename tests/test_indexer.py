@@ -3,7 +3,7 @@ import hashlib
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owse import indexer, storage
@@ -40,6 +40,7 @@ from support import (
     reference_build_index,
     reference_save_index,
     static_site_from,
+    traced_peak,
 )
 
 ONT_NAMES = ["library.rdf", "pizza.owl", "vehicle.rdf", "metadata.rdf"]
@@ -114,6 +115,9 @@ class TestTokenize:
 
     @settings(max_examples=500, deadline=None)
     @given(texts)
+    @example("a1" * 5000)  # one piece of many repeat steps
+    @example("1A" * 5000)
+    @example("A" * 10000 + "a")
     def test_equals_reference_tokenizer(self, text):
         assert tokenize(text) == oracle.tokenize(text)
 
@@ -122,6 +126,26 @@ class TestTokenize:
     def test_idempotent_over_own_output(self, text):
         once = tokenize(text)
         assert tokenize(" ".join(once)) == once
+
+
+# One alphanumeric run of 1 MiB, a single piece: each peaked at 75 to
+# 317 MiB while a repeat kept a backtracking frame per step.
+LONG_RUNS = ["a1" * (1 << 19), "1A" * (1 << 19), "A" * (1 << 20)]
+
+
+class TestTokenizeMemory:
+    @pytest.mark.parametrize("text", LONG_RUNS, ids=["a1", "1A", "A"])
+    def test_one_long_run_peaks_under_four_times_its_size(self, text):
+        tokens, peak = traced_peak(tokenize, text)
+        assert tokens == [text.lower()]
+        assert peak < 4 * len(text), peak
+
+    @pytest.mark.parametrize("text", LONG_RUNS, ids=["a1", "1A", "A"])
+    def test_build_index_over_a_long_comment_peaks_under_four_times_its_size(self, text):
+        summary = make_summary("http://x.example/o.owl", class_names=["Pizza"], comments=[text])
+        index, peak = traced_peak(build_index, [summary])
+        assert index.postings[text.lower()] == [Posting(0, FieldKind.COMMENT, 1)]
+        assert peak < 4 * len(text), peak
 
 
 def document_postings(summary):

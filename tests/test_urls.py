@@ -1,10 +1,12 @@
+from urllib.parse import urljoin
+
 import oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owse.errors import Unparseable, UnsupportedScheme
-from owse.urls import _CANONICAL_BASE, _PLAIN_REF, host_of, normalize_url
+from owse.urls import _CANONICAL_BASE, _PLAIN_REF, host_of, join, normalize_url
 
 
 def test_relative_reference_resolution():
@@ -188,10 +190,18 @@ BASES = [
 @example("http://h:080", "/a", "http://b/")  # the default port, after int()
 @example("", "a?", "http://b/")  # an empty query is dropped
 @example("http:", "a", "http://b/d/")  # the base's scheme, so a relative path
-@example("00080x.html:", "", "http://b/")  # a scheme on 3.10 only
+@example("00080x.html:", "", "http://b/")  # a ":" in the first segment: a path, left to urlsplit
 def test_fast_path_equals_urljoin_urlsplit(head, tail, base):
     raw = head + tail
     assert outcome(raw, base, normalize_url) == outcome(raw, base, oracle.normalize_url)
+
+
+@pytest.mark.parametrize("base", ["?q", "#f", "a", "a/b", "a/b/", "/a/b", "/", "http:?q", "http:a/b"])
+def test_join_equals_urljoin_on_bases_without_a_host(base):
+    # The base's last segment goes unless it is empty: "a" against "?q",
+    # whose path is empty, joins as "/a".
+    for ref in ["a", "a/", ".", "..", "../..", "./a", "../a/b", "a//b", "?r", "#g"]:
+        assert join(base, ref) == urljoin(base, ref), (base, ref)
 
 
 @pytest.mark.parametrize(
